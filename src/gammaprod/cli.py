@@ -6,7 +6,9 @@ claim check fails, 2 on usage or domain errors (message on stderr).
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -77,6 +79,9 @@ def _cmd_identities(args) -> int:
 def _cmd_verify(args) -> int:
     if args.tol is not None and args.tol <= 0:
         raise DomainError(f"tolerance must be positive, got {args.tol}")
+    if args.tol is not None and not math.isfinite(args.tol):
+        # nan fails every check and inf passes any record, however wrong
+        raise DomainError(f"tolerance must be positive and finite, got {args.tol}")
     identities = enumerate_identities(args.n)
     if args.coset_of is not None:
         x = args.coset_of
@@ -97,12 +102,7 @@ def _cmd_survey(args) -> int:
     rows = survey_range(args.max_n)
     for row in rows:
         if args.json:
-            print(json.dumps({
-                "n": row.n, "phi": row.phi, "nu": row.nu,
-                "coset_count": row.coset_count,
-                "self_complementary_count": row.self_complementary_count,
-                "max_b": row.max_b, "is_prime_power": row.is_prime_power,
-            }))
+            print(json.dumps(dataclasses.asdict(row)))
         else:
             print(f"n={row.n} phi={row.phi} nu={row.nu} cosets={row.coset_count} "
                   f"self_complementary={row.self_complementary_count} max_b={row.max_b} "

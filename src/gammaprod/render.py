@@ -22,18 +22,20 @@ class RenderedIdentity:
     payload: str
 
 
-def _rhs_plain(b: int, nu: int, times: str, pi_sym: str) -> str:
+def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
+    """2^b pi^(nu/2); latex braces every exponent, text parenthesises nu/2."""
+    sup = "^{{{}}}" if latex else "^{}"
     factors = []
     if b == 1:
         factors.append("2")
     elif b >= 2:
-        factors.append(f"2^{b}")
+        factors.append("2" + sup.format(b))
     if nu == 2:
         factors.append(pi_sym)
     elif nu > 0 and nu % 2 == 0:
-        factors.append(f"{pi_sym}^{nu // 2}")
+        factors.append(pi_sym + sup.format(nu // 2))
     elif nu > 0:
-        factors.append(f"{pi_sym}^({nu}/2)")
+        factors.append(pi_sym + sup.format(f"{nu}/2" if latex else f"({nu}/2)"))
     return times.join(factors) if factors else "1"
 
 
@@ -43,28 +45,14 @@ def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     pi_sym = "pi" if ascii_symbols else "π"
     m = identity.modulus
     lhs = times.join(f"{gamma}({x}/{m})" for x in identity.coset)
-    return f"{lhs} = {_rhs_plain(identity.b, identity.nu, times, pi_sym)}"
-
-
-def _rhs_latex(b: int, nu: int) -> str:
-    parts = []
-    if b == 1:
-        parts.append("2")
-    elif b >= 2:
-        parts.append(f"2^{{{b}}}")
-    if nu == 2:
-        parts.append(r"\pi")
-    elif nu > 0 and nu % 2 == 0:
-        parts.append(rf"\pi^{{{nu // 2}}}")
-    elif nu > 0:
-        parts.append(rf"\pi^{{{nu}/2}}")
-    return "".join(parts) if parts else "1"
+    return f"{lhs} = {_rhs(identity.b, identity.nu, times, pi_sym, latex=False)}"
 
 
 def _latex(identity: GammaProductIdentity) -> str:
     m = identity.modulus
     lhs = "".join(rf"\Gamma\left(\frac{{{x}}}{{{m}}}\right)" for x in identity.coset)
-    return rf"\[{lhs} = {_rhs_latex(identity.b, identity.nu)}\]"
+    rhs = _rhs(identity.b, identity.nu, "", r"\pi", latex=True)
+    return rf"\[{lhs} = {rhs}\]"
 
 
 def _json(identity: GammaProductIdentity) -> str:

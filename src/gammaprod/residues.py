@@ -115,6 +115,14 @@ def _check_unit(y: int, n: int) -> None:
         raise DomainError(f"{y} is not a unit in (0, {n})")
 
 
+def _lifts(ys, n: int) -> list[int]:
+    return [y if y % 2 else y + n for y in ys]
+
+
+def _halve(y: int, n: int) -> int:
+    return y // 2 if y % 2 == 0 else (y + n) // 2
+
+
 def odd_lift(y: int, n: int) -> int:
     """Lift a unit mod n to the unique odd unit mod 2n congruent to it.
 
@@ -123,7 +131,7 @@ def odd_lift(y: int, n: int) -> int:
     """
     n = OddModulus(n)
     _check_unit(y, n)
-    return y if y % 2 else y + n
+    return _lifts([y], n)[0]
 
 
 def odd_lift_inverse(x: int, n: int) -> int:
@@ -138,58 +146,60 @@ def halve_mod(y: int, n: int) -> int:
     """Halve a unit mod odd n: the unique unit z with 2*z congruent to y."""
     n = OddModulus(n)
     _check_unit(y, n)
-    return y // 2 if y % 2 == 0 else (y + n) // 2
+    return _halve(y, n)
+
+
+def _halving_walk(n: OddModulus) -> list[tuple[list[int], list[int]]]:
+    """(vertices, odd lifts) of each halving cycle mod an already validated n.
+
+    Each cycle starts at the smallest unit not yet visited, so the cycles
+    come in order of their minimum and each leads with it; the cycle of 1
+    is first.  Steps are plain arithmetic: halving permutes the units, so
+    no step needs a unit check.
+    """
+    n = int(n)  # arithmetic with the int subclass OddModulus is slower
+    seen = bytearray(n)
+    cycles = []
+    for start in units_mod(n):
+        if seen[start]:
+            continue
+        vertices = []
+        v = start
+        while not seen[v]:
+            seen[v] = 1
+            vertices.append(v)
+            v = _halve(v, n)
+        cycles.append((vertices, _lifts(vertices, n)))
+    return cycles
 
 
 def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     """Cycles of the halving permutation on the units mod n.
 
-    Cycles appear in order of their smallest vertex.  Walking starts at the
-    smallest unvisited unit, so each cycle is automatically rotated to lead
-    with its minimum.
+    Cycles appear in order of their smallest vertex, each rotated to lead
+    with it.  The labels are the odd lifts of the vertices; their sets are
+    exactly the cosets of coset_decomposition(n).
     """
     n = OddModulus(n)
-    seen: set[int] = set()
-    cycles = []
-    for start in units_mod(n):
-        if start in seen:
-            continue
-        vertices = []
-        v = start
-        while v not in seen:
-            seen.add(v)
-            vertices.append(v)
-            v = halve_mod(v, n)
-        cycles.append(HalvingCycle(
-            vertices=tuple(vertices),
-            labels=tuple(odd_lift(v, n) for v in vertices),
-        ))
-    return tuple(cycles)
+    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(labels))
+                 for vertices, labels in _halving_walk(n))
 
 
 def coset_decomposition(n: int) -> CosetDecomposition:
     """Partition the units mod 2n into cosets of the subgroup generated by n+2.
 
-    nu, the common coset size, is computed as the multiplicative order of 2
-    mod n; it equals the order of n+2 mod 2n (the lift transports orders,
-    and the test suite pins the equality).  Cosets are ascending internally
-    and ordered by smallest element, so the subgroup itself comes first.
+    The odd lift carries halving mod n to multiplication by the inverse of
+    n+2 mod 2n, so the cosets are the lifted halving cycles, and nu, the
+    common coset size, is the length of the cycle of 1: the order of 2
+    mod n, which the lift transports to the order of n+2 mod 2n.  Cosets
+    are ascending internally and ordered by smallest element, so the
+    subgroup itself comes first.
     """
     n = OddModulus(n)
-    m = 2 * n
-    g = n + 2
-    nu = multiplicative_order(2, n)
-    seen: set[int] = set()
-    cosets = []
-    for u in units_mod(m):
-        if u in seen:
-            continue
-        orbit = []
-        x = u
-        while x not in seen:
-            seen.add(x)
-            orbit.append(x)
-            x = x * g % m
-        assert len(orbit) == nu
-        cosets.append(tuple(sorted(orbit)))
-    return CosetDecomposition(n=n, nu=nu, cosets=tuple(cosets))
+    cycles = _halving_walk(n)
+    nu = len(cycles[0][0])
+    assert all(len(labels) == nu for _, labels in cycles)
+    # Already ordered by first element: a cycle's smallest vertex is odd (an
+    # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
+    cosets = tuple(tuple(sorted(labels)) for _, labels in cycles)
+    return CosetDecomposition(n=n, nu=nu, cosets=cosets)

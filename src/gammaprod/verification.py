@@ -78,6 +78,25 @@ class VerificationReport:
     term_count: int
 
 
+def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
+                     tol: float | None) -> VerificationReport:
+    """Report on the sum of ln Gamma(x/2n) over xs plus rhs_terms, the negated closed form."""
+    m = 2 * n
+    if tol is None:
+        tol = default_tolerance(n, len(xs))
+    terms = [log_gamma(x / m) for x in xs]
+    terms.extend(rhs_terms)
+    residual = math.fsum(terms)
+    return VerificationReport(
+        n=int(n),
+        coset_min=coset_min,
+        residual=residual,
+        tolerance=tol,
+        passed=abs(residual) <= tol,
+        term_count=len(xs),
+    )
+
+
 def verify_identity(identity: GammaProductIdentity,
                     tol: float | None = None) -> VerificationReport:
     """Check one identity numerically; failure is reported, never raised.
@@ -87,39 +106,12 @@ def verify_identity(identity: GammaProductIdentity,
     tampered identity simply shows up with a large honest residual (a
     wrong b shifts it by multiples of ln 2).
     """
-    m = 2 * identity.n
-    if tol is None:
-        tol = default_tolerance(identity.n, len(identity.coset))
-    terms = [log_gamma(x / m) for x in identity.coset]
-    terms.append(-identity.b * _LN_2)
-    terms.append(-0.5 * identity.nu * _LN_PI)
-    residual = math.fsum(terms)
-    return VerificationReport(
-        n=int(identity.n),
-        coset_min=min(identity.coset),
-        residual=residual,
-        tolerance=tol,
-        passed=abs(residual) <= tol,
-        term_count=len(identity.coset),
-    )
+    return _residual_report(identity.n, min(identity.coset), identity.coset,
+                            [-identity.b * _LN_2, -0.5 * identity.nu * _LN_PI], tol)
 
 
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     """Check the product over every unit mod 2n against (2*pi)**(phi/2)."""
     n = OddModulus(n)
-    m = 2 * n
-    units = units_mod(m)
-    phi = len(units)
-    if tol is None:
-        tol = default_tolerance(n, phi)
-    terms = [log_gamma(x / m) for x in units]
-    terms.append(-0.5 * phi * (_LN_2 + _LN_PI))
-    residual = math.fsum(terms)
-    return VerificationReport(
-        n=int(n),
-        coset_min=1,
-        residual=residual,
-        tolerance=tol,
-        passed=abs(residual) <= tol,
-        term_count=phi,
-    )
+    units = units_mod(2 * n)
+    return _residual_report(n, 1, units, [-0.5 * len(units) * (_LN_2 + _LN_PI)], tol)

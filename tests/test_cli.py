@@ -95,8 +95,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_non_positive_tolerance_is_domain_error(self, capsys):
-        assert run_cli(["verify", "7", "--tol=-1e-9"]) == 2
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
+    def test_non_positive_tolerance_is_domain_error(self, tol, capsys):
+        # nan would fail every check and inf would pass a wrong b
+        assert run_cli(["verify", "7", f"--tol={tol}"]) == 2
         assert "positive" in capsys.readouterr().err
 
 

@@ -29,6 +29,37 @@ def brute_order(g, m):
     return k
 
 
+def reference_cosets(n):
+    """Orbits of multiplication by n+2 on the units mod 2n, walked directly."""
+    m, g = 2 * n, n + 2
+    seen, cosets = set(), []
+    for u in brute_units(m):
+        if u in seen:
+            continue
+        orbit, x = [], u
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = x * g % m
+        cosets.append(tuple(sorted(orbit)))
+    return cosets
+
+
+def reference_halving_cycles(n):
+    """(vertices, labels) per halving cycle, stepped with the validated public maps."""
+    seen, cycles = set(), []
+    for start in brute_units(n):
+        if start in seen:
+            continue
+        vertices, v = [], start
+        while v not in seen:
+            seen.add(v)
+            vertices.append(v)
+            v = halve_mod(v, n)
+        cycles.append((tuple(vertices), tuple(odd_lift(v, n) for v in vertices)))
+    return cycles
+
+
 def totient_by_factorization(m):
     phi, rest, p = 1, m, 2
     while p * p <= rest:
@@ -203,6 +234,11 @@ class TestHalvingCycles:
             mins = [min(c.vertices) for c in cycles]
             assert mins == sorted(mins)
 
+    def test_matches_reference_walk(self):
+        for n in range(3, 600, 2):
+            cycles = [(c.vertices, c.labels) for c in halving_cycles(n)]
+            assert cycles == reference_halving_cycles(n)
+
     def test_label_sets_are_cosets(self):
         for n in (7, 15, 31, 43, 63):
             label_sets = {frozenset(c.labels) for c in halving_cycles(n)}
@@ -261,6 +297,13 @@ class TestCosetDecomposition:
     def test_order_equals_suborder_of_two(self):
         for n in range(3, 200, 2):
             assert coset_decomposition(n).nu == multiplicative_order(2, n)
+
+    def test_matches_reference_orbits(self):
+        for n in range(3, 600, 2):
+            decomp = coset_decomposition(n)
+            expected = reference_cosets(n)
+            assert decomp.cosets == tuple(expected)
+            assert decomp.nu == len(expected[0])
 
     def test_coset_containing(self):
         decomp = coset_decomposition(31)
