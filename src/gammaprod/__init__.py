@@ -9,101 +9,25 @@ This package constructs the decompositions, builds and renders the
 identities, and verifies them numerically in the log domain.
 """
 
-from .errors import (
-    DomainError,
-    GammaprodError,
-    InvalidCosetError,
-    InvalidModulusError,
-    NotAUnitError,
-)
-from .residues import (
-    CosetDecomposition,
-    HalvingCycle,
-    OddModulus,
-    UnitGroup,
-    coset_decomposition,
-    halve_mod,
-    halving_cycles,
-    multiplicative_order,
-    odd_lift,
-    odd_lift_inverse,
-    units_mod,
-)
-from .identities import (
-    FullProduct,
-    GammaProductIdentity,
-    Rhs,
-    build_identity,
-    complement_identity,
-    enumerate_identities,
-    full_product_identity,
-    is_self_complementary,
-    mersenne_identity,
-)
-from .verification import (
-    VerificationReport,
-    default_tolerance,
-    log_gamma,
-    verify_duplication,
-    verify_full_product,
-    verify_identity,
-)
-from .survey import (
-    ClaimReport,
-    ClaimResult,
-    SurveyRow,
-    check_reference_claims,
-    is_prime_power,
-    survey_range,
-    survey_row,
-)
-from .render import FORMATS, RenderedIdentity, render_identity
+# Each module's __all__ is its public API; the package re-exports them all.
+from . import errors, identities, render, residues, survey, verification
+from .errors import *  # noqa: F403
+from .residues import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .verification import *  # noqa: F403
+from .survey import *  # noqa: F403
+from .render import *  # noqa: F403
 from .cli import run_cli
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaprodError",
-    "InvalidModulusError",
-    "NotAUnitError",
-    "DomainError",
-    "InvalidCosetError",
-    "OddModulus",
-    "UnitGroup",
-    "HalvingCycle",
-    "CosetDecomposition",
-    "units_mod",
-    "multiplicative_order",
-    "odd_lift",
-    "odd_lift_inverse",
-    "halve_mod",
-    "halving_cycles",
-    "coset_decomposition",
-    "Rhs",
-    "GammaProductIdentity",
-    "FullProduct",
-    "build_identity",
-    "enumerate_identities",
-    "complement_identity",
-    "is_self_complementary",
-    "mersenne_identity",
-    "full_product_identity",
-    "VerificationReport",
-    "log_gamma",
-    "verify_duplication",
-    "verify_identity",
-    "verify_full_product",
-    "default_tolerance",
-    "SurveyRow",
-    "ClaimResult",
-    "ClaimReport",
-    "survey_row",
-    "survey_range",
-    "check_reference_claims",
-    "is_prime_power",
-    "FORMATS",
-    "RenderedIdentity",
-    "render_identity",
+    *errors.__all__,
+    *residues.__all__,
+    *identities.__all__,
+    *verification.__all__,
+    *survey.__all__,
+    *render.__all__,
     "run_cli",
     "__version__",
 ]

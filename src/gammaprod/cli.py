@@ -16,7 +16,7 @@ from .errors import DomainError, GammaprodError
 from .identities import enumerate_identities, full_product_identity, mersenne_identity
 from .render import FORMATS, render_identity
 from .survey import check_reference_claims, survey_range
-from .verification import verify_identity
+from .verification import verify_full_product, verify_identity
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,8 +36,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ascii", action="store_true",
                    help="write Gamma/pi instead of unicode in text output")
 
-    p = sub.add_parser("verify", help="numerically verify the identities for n")
-    p.add_argument("n", type=int)
+    p = sub.add_parser("verify", help="numerically verify the identities for n, "
+                                      "or for every odd n up to --max")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("n", type=int, nargs="?")
+    which.add_argument("--max", type=int, dest="max_n", metavar="N",
+                       help="verify every odd n in [3, N] and its full product, "
+                            "then report the worst residuals")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute residual tolerance (default scales with the term count)")
     p.add_argument("--coset-of", type=int, default=None, metavar="X",
@@ -64,6 +69,11 @@ def _coset_text(coset) -> str:
     return "(" + ",".join(str(x) for x in coset) + ")"
 
 
+def _report_line(report, what: str) -> str:
+    return (f"{'PASS' if report.passed else 'FAIL'} n={report.n} {what} "
+            f"residual={report.residual:+.3e} tol={report.tolerance:.3e}")
+
+
 def _cmd_decompose(args) -> int:
     for identity in enumerate_identities(args.n):
         print(_coset_text(identity.coset))
@@ -76,25 +86,49 @@ def _cmd_identities(args) -> int:
     return 0
 
 
+def _verify_cosets(n, tol, coset_of=None) -> list:
+    """Verify and print the identities for n, or only the coset of coset_of."""
+    identities = enumerate_identities(n)
+    if coset_of is not None:
+        identities = tuple(ident for ident in identities if coset_of in ident.coset)
+        if not identities:
+            raise DomainError(f"{coset_of} is not a unit modulo {2 * n}")
+    reports = []
+    for identity in identities:
+        report = verify_identity(identity, tol)
+        reports.append(report)
+        print(_report_line(report, f"coset={_coset_text(identity.coset)}"))
+    return reports
+
+
 def _cmd_verify(args) -> int:
     if args.tol is not None and args.tol <= 0:
         raise DomainError(f"tolerance must be positive, got {args.tol}")
     if args.tol is not None and not math.isfinite(args.tol):
         # nan fails every check and inf passes any record, however wrong
         raise DomainError(f"tolerance must be positive and finite, got {args.tol}")
-    identities = enumerate_identities(args.n)
+    if args.max_n is None:
+        reports = _verify_cosets(args.n, args.tol, args.coset_of)
+        return 0 if all(report.passed for report in reports) else 1
     if args.coset_of is not None:
-        x = args.coset_of
-        identities = tuple(ident for ident in identities if x in ident.coset)
-        if not identities:
-            raise DomainError(f"{x} is not a unit modulo {2 * args.n}")
-    failures = 0
-    for identity in identities:
-        report = verify_identity(identity, args.tol)
-        failures += not report.passed
-        print(f"{'PASS' if report.passed else 'FAIL'} n={report.n} "
-              f"coset={_coset_text(identity.coset)} "
-              f"residual={report.residual:+.3e} tol={report.tolerance:.3e}")
+        raise DomainError("--coset-of picks a coset of a single n; it cannot be used with --max")
+    if args.max_n < 3:
+        raise DomainError(f"verify range must reach at least 3, got {args.max_n}")
+    cosets, fulls = [], []
+    for n in range(3, args.max_n + 1, 2):
+        cosets += _verify_cosets(n, args.tol)
+        full = verify_full_product(n, args.tol)
+        fulls.append(full)
+        print(_report_line(full, "full-product"))
+    failures = sum(not report.passed for report in cosets + fulls)
+    print(f"{len(cosets) + len(fulls)} products checked up to n={args.max_n}, "
+          f"{failures} failures")
+    worst = max(cosets, key=lambda report: abs(report.residual))
+    print(f"worst coset residual {worst.residual:+.3e} at n={worst.n} "
+          f"(coset of {worst.coset_min}, {worst.term_count} terms)")
+    worst = max(fulls, key=lambda report: abs(report.residual))
+    print(f"worst full-product residual {worst.residual:+.3e} at n={worst.n} "
+          f"({worst.term_count} terms)")
     return 1 if failures else 0
 
 

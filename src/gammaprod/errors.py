@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["GammaprodError", "InvalidModulusError", "NotAUnitError", "DomainError",
+           "InvalidCosetError"]
+
 
 class GammaprodError(ValueError):
     """Base class for every domain validation error raised here."""

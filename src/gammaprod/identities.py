@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import OddModulus, coset_decomposition, multiplicative_order, units_mod
+from .residues import OddModulus, coset_decomposition, multiplicative_order
 
 __all__ = [
     "Rhs",
@@ -143,12 +143,12 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
 def full_product_identity(n: int) -> FullProduct:
     """Combine all coset identities: the total product is (2*pi)**(phi(n)/2).
 
-    The powers of two sum to half the totient and the coset sizes sum to
-    the whole of it; both are theorems, asserted here as a cross-check.
+    The cosets partition the units, so their sizes sum to the totient; that
+    the powers of two sum to half of it is a theorem, asserted here as a
+    cross-check.
     """
     identities = enumerate_identities(n)
     pow2 = sum(identity.b for identity in identities)
     pi_half_units = sum(identity.nu for identity in identities)
-    phi = len(units_mod(int(identities[0].n)))
-    assert pi_half_units == phi and 2 * pow2 == phi
+    assert 2 * pow2 == pi_half_units
     return FullProduct(n=identities[0].n, pow2=pow2, pi_half_units=pi_half_units)

@@ -7,6 +7,7 @@ smallest member.  Together this makes every derived listing deterministic.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidModulusError, NotAUnitError
@@ -30,7 +31,10 @@ class OddModulus(int):
     """An odd integer modulus n > 1; construction enforces the domain."""
 
     def __new__(cls, n: int) -> "OddModulus":
-        n = int(n)
+        try:
+            n = operator.index(n)  # int() would truncate 7.9 and parse "7"
+        except TypeError as exc:
+            raise InvalidModulusError(f"modulus must be an integer, got {n!r}") from exc
         if n < 3 or n % 2 == 0:
             raise InvalidModulusError(f"modulus must be odd and > 1, got {n}")
         return super().__new__(cls, n)
@@ -149,19 +153,25 @@ def halve_mod(y: int, n: int) -> int:
     return _halve(y, n)
 
 
+_MAX_WALK = 10**7  # a walk keeps about 80 bytes per unit (64-bit CPython), 0.8 GB at the limit
+
+
 def _halving_walk(n: OddModulus) -> list[tuple[list[int], list[int]]]:
     """(vertices, odd lifts) of each halving cycle mod an already validated n.
 
     Each cycle starts at the smallest unit not yet visited, so the cycles
     come in order of their minimum and each leads with it; the cycle of 1
-    is first.  Steps are plain arithmetic: halving permutes the units, so
-    no step needs a unit check.
+    is first.  Only unvisited residues get a gcd test, so the units are
+    never listed separately.  Steps are plain arithmetic: halving permutes
+    the units, so no step needs a unit check.
     """
+    if n > _MAX_WALK:
+        raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
     n = int(n)  # arithmetic with the int subclass OddModulus is slower
     seen = bytearray(n)
     cycles = []
-    for start in units_mod(n):
-        if seen[start]:
+    for start in range(1, n):
+        if seen[start] or math.gcd(start, n) != 1:
             continue
         vertices = []
         v = start

@@ -6,7 +6,6 @@ from typing import Iterable
 
 from .errors import DomainError
 from .identities import enumerate_identities, is_self_complementary
-from .residues import units_mod
 
 __all__ = [
     "SurveyRow",
@@ -54,21 +53,23 @@ def is_prime_power(n: int) -> bool:
 
 
 def survey_row(n: int) -> SurveyRow:
-    """Statistics for a single odd modulus.
+    """Statistics for a single odd modulus, read off one coset enumeration.
 
-    phi is recomputed from the units mod n rather than read off the coset
-    sizes, so phi == nu * coset_count stays a checkable invariant instead
-    of a tautology.
+    The cosets partition the units into classes of size nu, so phi is
+    nu * coset_count; the tests check it against len(units_mod(n)) and
+    the benchmark against sympy's totient.
     """
     identities = enumerate_identities(n)
+    first = identities[0]
     return SurveyRow(
-        n=int(identities[0].n),
-        phi=len(units_mod(int(identities[0].n))),
-        nu=identities[0].nu,
+        n=int(first.n),
+        phi=first.nu * len(identities),
+        nu=first.nu,
         coset_count=len(identities),
-        self_complementary_count=sum(1 for ident in identities if is_self_complementary(ident)),
+        # x -> -x fixes a coset exactly when -1 is in <n+2>: all cosets or none
+        self_complementary_count=len(identities) * is_self_complementary(first),
         max_b=max(ident.b for ident in identities),
-        is_prime_power=is_prime_power(int(identities[0].n)),
+        is_prime_power=is_prime_power(int(first.n)),
     )
 
 

@@ -113,5 +113,5 @@ def verify_identity(identity: GammaProductIdentity,
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     """Check the product over every unit mod 2n against (2*pi)**(phi/2)."""
     n = OddModulus(n)
-    units = units_mod(2 * n)
+    units = units_mod(2 * n)  # a scan, not the cosets: term_count checks the decomposition
     return _residual_report(n, 1, units, [-0.5 * len(units) * (_LN_2 + _LN_PI)], tol)

@@ -1,6 +1,10 @@
 """Command line behaviour: grammar, output shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,12 @@ class TestDecompose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "odd" in captured.err
+
+    def test_huge_modulus_is_refused(self, capsys):
+        assert run_cli(["decompose", str(2**61 - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and "10000000" in captured.err
 
     def test_deterministic(self, capsys):
         run_cli(["decompose", "93"])
@@ -95,11 +105,51 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_huge_modulus_is_refused(self, capsys):
+        assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 2
+        assert "too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
     def test_non_positive_tolerance_is_domain_error(self, tol, capsys):
         # nan would fail every check and inf would pass a wrong b
         assert run_cli(["verify", "7", f"--tol={tol}"]) == 2
         assert "positive" in capsys.readouterr().err
+
+
+class TestVerifyMax:
+    def test_sweep_to_99(self, capsys):
+        assert run_cli(["verify", "--max", "99"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        *body, summary, worst_coset, worst_full = lines
+        assert summary == "170 products checked up to n=99, 0 failures"
+        assert worst_coset.startswith("worst coset residual ")
+        assert worst_full.startswith("worst full-product residual ")
+        blocks, block = [], []
+        for line in body:
+            if " full-product " in line:
+                blocks.append((line, block))
+                block = []
+            else:
+                block.append(line)
+        assert block == []
+        assert [full.split()[1] for full, _ in blocks] == [f"n={n}" for n in range(3, 100, 2)]
+        for n, (full, block) in zip(range(3, 100, 2), blocks):
+            assert full.startswith(f"PASS n={n} full-product residual=")
+            assert run_cli(["verify", str(n)]) == 0
+            assert block == capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("argv", [[], ["7", "--max", "9"], ["--max", "9", "--coset-of", "1"]])
+    def test_exactly_one_of_n_and_max(self, argv, capsys):
+        assert run_cli(["verify", *argv]) == 2
+        assert capsys.readouterr().err
+
+    def test_absurd_tolerance_fails_with_exit_1(self, capsys):
+        assert run_cli(["verify", "--max", "9", "--tol", "1e-30"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL n=3 coset=(1,5)" in out
+        summary = out.splitlines()[-3]
+        assert summary.startswith("9 products checked up to n=9, ")
+        assert not summary.endswith(" 0 failures")
 
 
 class TestSurvey:
@@ -185,3 +235,14 @@ class TestUsage:
 
     def test_non_integer_argument(self, capsys):
         assert run_cli(["decompose", "seven"]) == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert run_cli(["verify", "7"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "gammaprod", "verify", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.stdout, proc.returncode, proc.stderr) == (expected, 0, "")

@@ -80,7 +80,7 @@ class TestOddModulus:
         n = OddModulus(7)
         assert n == 7 and n + 1 == 8 and isinstance(n, int)
 
-    @pytest.mark.parametrize("bad", [4, 2, 1, 0, -3, -8])
+    @pytest.mark.parametrize("bad", [4, 2, 1, 0, -3, -8, 7.9, "7"])
     def test_rejects_even_or_small(self, bad):
         with pytest.raises(InvalidModulusError):
             OddModulus(bad)

@@ -6,8 +6,10 @@ from gammaprod import (
     check_reference_claims,
     enumerate_identities,
     is_prime_power,
+    is_self_complementary,
     survey_range,
     survey_row,
+    units_mod,
 )
 from gammaprod.errors import DomainError
 
@@ -131,3 +133,13 @@ class TestReferenceClaims:
 def test_max_b_matches_identities():
     for n in (7, 31, 45):
         assert survey_row(n).max_b == max(i.b for i in enumerate_identities(n))
+
+
+def test_counts_match_per_coset_reference():
+    # survey_row reads phi and the self-complementary count off the coset
+    # count and the first coset; here both are recomputed the long way
+    for n in range(3, 600, 2):
+        row = survey_row(n)
+        assert row.self_complementary_count == sum(
+            is_self_complementary(i) for i in enumerate_identities(n))
+        assert row.phi == len(units_mod(n))
