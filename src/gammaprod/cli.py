@@ -13,8 +13,14 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError, GammaprodError
-from .identities import enumerate_identities, full_product_identity, mersenne_identity
+from .identities import (
+    build_identity,
+    enumerate_identities,
+    full_product_identity,
+    mersenne_identity,
+)
 from .render import FORMATS, render_identity
+from .residues import _MAX_WALK, OddModulus
 from .survey import check_reference_claims, survey_range
 from .verification import verify_full_product, verify_identity
 
@@ -86,13 +92,28 @@ def _cmd_identities(args) -> int:
     return 0
 
 
+def _coset_identity(n, x):
+    """The identity of the coset of x, from the orbit of x under n+2 mod 2n alone."""
+    n = OddModulus(n)
+    m, g = 2 * n, n + 2
+    if not 0 < x < m or math.gcd(x, m) != 1:
+        raise DomainError(f"{x} is not a unit modulo {m}")
+    orbit, y = [x], x * g % m
+    while y != x:
+        if len(orbit) == _MAX_WALK:
+            raise DomainError(f"the coset of {x} is too large to enumerate; "
+                              f"the limit is {_MAX_WALK} elements")
+        orbit.append(y)
+        y = y * g % m
+    return build_identity(n, orbit)
+
+
 def _verify_cosets(n, tol, coset_of=None) -> list:
     """Verify and print the identities for n, or only the coset of coset_of."""
-    identities = enumerate_identities(n)
-    if coset_of is not None:
-        identities = tuple(ident for ident in identities if coset_of in ident.coset)
-        if not identities:
-            raise DomainError(f"{coset_of} is not a unit modulo {2 * n}")
+    if coset_of is None:
+        identities = enumerate_identities(n)
+    else:
+        identities = (_coset_identity(n, coset_of),)
     reports = []
     for identity in identities:
         report = verify_identity(identity, tol)

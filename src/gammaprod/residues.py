@@ -4,8 +4,13 @@ Moduli are plain Python integers, so modular products never overflow no
 matter the size.  Representatives always live in the open interval (0, m)
 and listings are sorted ascending; cycles and cosets are keyed by their
 smallest member.  Together this makes every derived listing deterministic.
+
+Units are never found one gcd at a time: a unit mask sieves out the
+multiples of each distinct prime of the modulus, and both units_mod and
+the halving walk read their units off it.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -93,11 +98,37 @@ class CosetDecomposition:
         raise DomainError(f"{x} is not a unit modulo {2 * self.n}")
 
 
+# A walk mod n keeps about 80 bytes per unit (64-bit CPython), 0.8 GB at the
+# limit; units_mod takes the moduli 2n of the walkable n.
+_MAX_WALK = 10**7
+
+
+def _unit_mask(m: int) -> bytearray:
+    """mask[x] == 1 exactly when x in [0, m) is coprime to m >= 2.
+
+    A sieve over the distinct primes of m, found by trial division: each
+    prime clears its multiples, 0 among them, with one slice assignment.
+    """
+    mask = bytearray(b"\x01") * m
+    rest, p = m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            mask[::p] = bytes(len(range(0, m, p)))
+            while rest % p == 0:
+                rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:  # the one prime above the square root of what is left
+        mask[::rest] = bytes(len(range(0, m, rest)))
+    return mask
+
+
 def units_mod(m: int) -> UnitGroup:
-    """All residues in (0, m) coprime to m."""
+    """All residues in (0, m) coprime to m, read off the unit mask."""
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-    return UnitGroup(modulus=m, elements=tuple(x for x in range(1, m) if math.gcd(x, m) == 1))
+    if m > 2 * _MAX_WALK:
+        raise DomainError(f"m={m} is too large to enumerate; the limit is m <= {2 * _MAX_WALK}")
+    return UnitGroup(modulus=m, elements=tuple(itertools.compress(range(m), _unit_mask(m))))
 
 
 def multiplicative_order(g: int, m: int) -> int:
@@ -119,14 +150,6 @@ def _check_unit(y: int, n: int) -> None:
         raise DomainError(f"{y} is not a unit in (0, {n})")
 
 
-def _lifts(ys, n: int) -> list[int]:
-    return [y if y % 2 else y + n for y in ys]
-
-
-def _halve(y: int, n: int) -> int:
-    return y // 2 if y % 2 == 0 else (y + n) // 2
-
-
 def odd_lift(y: int, n: int) -> int:
     """Lift a unit mod n to the unique odd unit mod 2n congruent to it.
 
@@ -135,7 +158,7 @@ def odd_lift(y: int, n: int) -> int:
     """
     n = OddModulus(n)
     _check_unit(y, n)
-    return _lifts([y], n)[0]
+    return y if y % 2 else y + n
 
 
 def odd_lift_inverse(x: int, n: int) -> int:
@@ -150,36 +173,33 @@ def halve_mod(y: int, n: int) -> int:
     """Halve a unit mod odd n: the unique unit z with 2*z congruent to y."""
     n = OddModulus(n)
     _check_unit(y, n)
-    return _halve(y, n)
-
-
-_MAX_WALK = 10**7  # a walk keeps about 80 bytes per unit (64-bit CPython), 0.8 GB at the limit
+    return y // 2 if y % 2 == 0 else (y + n) // 2
 
 
 def _halving_walk(n: OddModulus) -> list[tuple[list[int], list[int]]]:
     """(vertices, odd lifts) of each halving cycle mod an already validated n.
 
-    Each cycle starts at the smallest unit not yet visited, so the cycles
-    come in order of their minimum and each leads with it; the cycle of 1
-    is first.  Only unvisited residues get a gcd test, so the units are
-    never listed separately.  Steps are plain arithmetic: halving permutes
-    the units, so no step needs a unit check.
+    todo starts as the unit mask, so it holds 1 exactly at the units not
+    yet on a cycle; the walk makes no gcd calls.  Each cycle starts at the
+    smallest such unit, so the cycles come in order of their minimum and
+    each leads with it; the cycle of 1 is first.  Steps are plain
+    arithmetic: halving permutes the units, so no step needs a unit check.
     """
     if n > _MAX_WALK:
         raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
     n = int(n)  # arithmetic with the int subclass OddModulus is slower
-    seen = bytearray(n)
+    todo = _unit_mask(n)
     cycles = []
-    for start in range(1, n):
-        if seen[start] or math.gcd(start, n) != 1:
-            continue
+    start = 1
+    while start != -1:
         vertices = []
         v = start
-        while not seen[v]:
-            seen[v] = 1
+        while todo[v]:
+            todo[v] = 0
             vertices.append(v)
-            v = _halve(v, n)
-        cycles.append((vertices, _lifts(vertices, n)))
+            v = (v + n) >> 1 if v & 1 else v >> 1
+        cycles.append((vertices, [v if v & 1 else v + n for v in vertices]))
+        start = todo.find(1, start + 1)
     return cycles
 
 

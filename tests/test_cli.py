@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import run_cli
+from gammaprod import cli, run_cli
 
 N31_COSET_LINES = """\
 (1,33,35,39,47)
@@ -105,9 +105,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
-    def test_huge_modulus_is_refused(self, capsys):
+    def test_huge_modulus_walks_only_the_orbit(self, capsys):
+        assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"PASS n={2**61 - 1} coset=(1,")
+        coset = line.split("coset=(")[1].split(")")[0].split(",")
+        assert len(coset) == 61
+
+    def test_huge_modulus_without_coset_of_is_refused(self, capsys):
+        assert run_cli(["verify", str(2**61 - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err
+
+    def test_coset_of_refuses_an_orbit_over_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_WALK", 60)
         assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 2
-        assert "too large" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and "60" in captured.err
+        monkeypatch.setattr(cli, "_MAX_WALK", 61)
+        assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 0
 
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
     def test_non_positive_tolerance_is_domain_error(self, tol, capsys):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
     OddModulus,
@@ -60,6 +61,42 @@ def reference_halving_cycles(n):
     return cycles
 
 
+def is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def next_prime(k):
+    while not is_prime(k):
+        k += 1
+    return k
+
+
+SIEVE_LIMIT = 2 * 10**6
+SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
+
+
+@st.composite
+def sieve_shapes(draw):
+    """Moduli up to about SIEVE_LIMIT, of the shapes each branch of the unit sieve handles."""
+    shape = draw(st.sampled_from(["prime power", "twice a prime", "big cofactor", "squarefree"]))
+    if shape == "prime power":
+        p = next_prime(draw(st.integers(2, 1400)))
+        return p ** draw(st.integers(1, int(math.log(SIEVE_LIMIT, p))))
+    if shape == "twice a prime":
+        return 2 * next_prime(draw(st.integers(2, SIEVE_LIMIT // 2)))
+    if shape == "big cofactor":
+        # q > sqrt(p*q): trial division stops before q, which is the prime left over
+        p = next_prime(draw(st.integers(2, 1000)))
+        q = next_prime(draw(st.integers(p + 1, SIEVE_LIMIT // p)))
+        return p * q
+    m = 1
+    for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, unique=True)):
+        if m * p > SIEVE_LIMIT:
+            break
+        m *= p
+    return m
+
+
 def totient_by_factorization(m):
     phi, rest, p = 1, m, 2
     while p * p <= rest:
@@ -103,8 +140,17 @@ class TestUnitsMod:
         assert all(x % 31 != 0 for x in group)
 
     def test_matches_gcd_scan(self):
-        for m in range(2, 150):
+        for m in range(2, 3000):
             assert list(units_mod(m)) == brute_units(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sieve_shapes())
+    def test_sieve_shapes_match_gcd_scan(self, m):
+        assert list(units_mod(m)) == brute_units(m)
+
+    def test_refuses_oversized_modulus(self):
+        with pytest.raises(DomainError, match="20000000"):
+            units_mod(2 * 10**7 + 1)
 
     def test_totient_matches_factorization(self):
         for m in range(2, 400):
@@ -233,6 +279,11 @@ class TestHalvingCycles:
                 assert len(set(cycle.labels)) == k
             mins = [min(c.vertices) for c in cycles]
             assert mins == sorted(mins)
+
+    def test_vertices_are_the_units(self):
+        for n in range(3, 3000, 2):
+            vertices = sorted(v for cycle in halving_cycles(n) for v in cycle.vertices)
+            assert vertices == brute_units(n)
 
     def test_matches_reference_walk(self):
         for n in range(3, 600, 2):

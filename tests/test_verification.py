@@ -12,6 +12,7 @@ from gammaprod import (
     enumerate_identities,
     halve_mod,
     log_gamma,
+    mersenne_identity,
     odd_lift_inverse,
     units_mod,
     verify_duplication,
@@ -101,6 +102,31 @@ class TestVerifyIdentity:
         assert not report.passed
         assert abs(report.residual) > 1e-2
 
+    @pytest.mark.parametrize("coset", [(1, 9, 14), (0, 9, 11), (1, 9, -11)])
+    def test_argument_outside_unit_interval_is_domain_error(self, coset):
+        # 0 and 2n give Gamma arguments 0 and 1, outside log_gamma's domain
+        identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=coset)
+        with pytest.raises(DomainError):
+            verify_identity(identity)
+
+    def test_residual_is_fsum_of_public_log_gamma(self):
+        for n in range(3, 200, 2):
+            for identity in enumerate_identities(n):
+                terms = [log_gamma(x / (2 * n)) for x in identity.coset]
+                terms += [-identity.b * LN2, -0.5 * identity.nu * LNPI]
+                assert verify_identity(identity).residual == math.fsum(terms)
+
+    def test_matches_mpmath_for_large_moduli(self):
+        # n = 2**m - 1 exceeds 2**53, so x / 2n is rounded before lgamma sees it
+        identities = [mersenne_identity(m) for m in (61, 89, 127)]
+        identities.append(enumerate_identities(10007)[0])  # 5003 terms
+        for identity in identities:
+            with mpmath.workdps(50):
+                m = mpmath.mpf(2 * identity.n)
+                exact = (mpmath.fsum(mpmath.loggamma(x / m) for x in identity.coset)
+                         - identity.b * mpmath.log(2) - identity.nu * mpmath.log(mpmath.pi) / 2)
+            assert abs(verify_identity(identity).residual - exact) < 1e-12
+
     def test_passed_matches_threshold(self):
         identity = build_identity(15, [1, 17, 19, 23])
         for tol in (1e-30, 1e-12, 1e-6, 1.0):
@@ -149,6 +175,10 @@ class TestVerifyFullProduct:
     def test_rejects_even(self):
         with pytest.raises(Exception):
             verify_full_product(8)
+
+    def test_refuses_oversized_modulus_at_once(self):
+        with pytest.raises(DomainError, match="too large"):
+            verify_full_product(2**61 - 1)
 
 
 def test_per_element_halving_decomposition():
