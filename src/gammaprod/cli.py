@@ -135,6 +135,8 @@ def _cmd_verify(args) -> int:
         raise DomainError("--coset-of picks a coset of a single n; it cannot be used with --max")
     if args.max_n < 3:
         raise DomainError(f"verify range must reach at least 3, got {args.max_n}")
+    if args.max_n > _MAX_WALK:  # refused before any line: the last moduli could not be walked
+        raise DomainError(f"verify range {args.max_n} is too large; the limit is n <= {_MAX_WALK}")
     cosets, fulls = [], []
     for n in range(3, args.max_n + 1, 2):
         cosets += _verify_cosets(n, args.tol)

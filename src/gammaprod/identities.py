@@ -10,6 +10,7 @@ counts the elements of A above n.  The right side is stored exactly as the
 integer exponent pair; nothing here touches floating point.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -72,8 +73,9 @@ class FullProduct:
 
 
 def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> GammaProductIdentity:
+    """The record of an ascending coset: b counts its elements above n by bisection."""
     return GammaProductIdentity(n=n, coset=coset, nu=nu,
-                                b=sum(1 for x in coset if x > n))
+                                b=len(coset) - bisect.bisect_right(coset, n))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:

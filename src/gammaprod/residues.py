@@ -103,22 +103,30 @@ class CosetDecomposition:
 _MAX_WALK = 10**7
 
 
+def _distinct_primes(m: int) -> list[int]:
+    """The distinct primes of m >= 2, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:  # the one prime above the square root of what is left
+        primes.append(m)
+    return primes
+
+
 def _unit_mask(m: int) -> bytearray:
     """mask[x] == 1 exactly when x in [0, m) is coprime to m >= 2.
 
-    A sieve over the distinct primes of m, found by trial division: each
-    prime clears its multiples, 0 among them, with one slice assignment.
+    A sieve over the distinct primes of m: each prime clears its
+    multiples, 0 among them, with one slice assignment.
     """
     mask = bytearray(b"\x01") * m
-    rest, p = m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            mask[::p] = bytes(len(range(0, m, p)))
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:  # the one prime above the square root of what is left
-        mask[::rest] = bytes(len(range(0, m, rest)))
+    for p in _distinct_primes(m):
+        mask[::p] = bytes(len(range(0, m, p)))
     return mask
 
 
@@ -176,11 +184,12 @@ def halve_mod(y: int, n: int) -> int:
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
 
-def _halving_walk(n: OddModulus) -> list[tuple[list[int], list[int]]]:
-    """(vertices, odd lifts) of each halving cycle mod an already validated n.
+def _halving_walk(n: OddModulus) -> list[list[int]]:
+    """The vertices of each halving cycle mod an already validated n.
 
-    todo starts as the unit mask, so it holds 1 exactly at the units not
-    yet on a cycle; the walk makes no gcd calls.  Each cycle starts at the
+    Vertices only: _lifts labels a cycle when a caller needs it.  todo
+    starts as the unit mask, so it holds 1 exactly at the units not yet on
+    a cycle; the walk makes no gcd calls.  Each cycle starts at the
     smallest such unit, so the cycles come in order of their minimum and
     each leads with it; the cycle of 1 is first.  Steps are plain
     arithmetic: halving permutes the units, so no step needs a unit check.
@@ -198,9 +207,14 @@ def _halving_walk(n: OddModulus) -> list[tuple[list[int], list[int]]]:
             todo[v] = 0
             vertices.append(v)
             v = (v + n) >> 1 if v & 1 else v >> 1
-        cycles.append((vertices, [v if v & 1 else v + n for v in vertices]))
+        cycles.append(vertices)
         start = todo.find(1, start + 1)
     return cycles
+
+
+def _lifts(vertices: list[int], n: int) -> list[int]:
+    """The odd lifts of units mod n into the units mod 2n, in order."""
+    return [v if v & 1 else v + n for v in vertices]
 
 
 def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
@@ -211,8 +225,8 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     exactly the cosets of coset_decomposition(n).
     """
     n = OddModulus(n)
-    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(labels))
-                 for vertices, labels in _halving_walk(n))
+    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, int(n))))
+                 for vertices in _halving_walk(n))
 
 
 def coset_decomposition(n: int) -> CosetDecomposition:
@@ -227,9 +241,9 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     """
     n = OddModulus(n)
     cycles = _halving_walk(n)
-    nu = len(cycles[0][0])
-    assert all(len(labels) == nu for _, labels in cycles)
+    nu = len(cycles[0])
+    assert all(len(vertices) == nu for vertices in cycles)
     # Already ordered by first element: a cycle's smallest vertex is odd (an
     # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
-    cosets = tuple(tuple(sorted(labels)) for _, labels in cycles)
+    cosets = tuple(tuple(sorted(_lifts(vertices, int(n)))) for vertices in cycles)
     return CosetDecomposition(n=n, nu=nu, cosets=cosets)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .identities import enumerate_identities, is_self_complementary
+from .residues import _MAX_WALK, OddModulus, _distinct_primes, _halving_walk
 
 __all__ = [
     "SurveyRow",
@@ -31,45 +31,37 @@ class SurveyRow:
     is_prime_power: bool
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
 def is_prime_power(n: int) -> bool:
     """True when n = p**k for a single prime p, k >= 1."""
-    if n < 2:
-        return False
-    p = _smallest_prime_factor(n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return n >= 2 and len(_distinct_primes(n)) == 1
 
 
 def survey_row(n: int) -> SurveyRow:
-    """Statistics for a single odd modulus, read off one coset enumeration.
+    """Statistics for a single odd modulus, read off its halving cycles.
 
-    The cosets partition the units into classes of size nu, so phi is
+    The cycles lift to the cosets, each of size nu, so phi is
     nu * coset_count; the tests check it against len(units_mod(n)) and
-    the benchmark against sympy's totient.
+    the benchmark against sympy's totient.  A coset's b counts the even
+    vertices of its cycle C, and 2*sum(C) = sum(C) + n*#odd around C, so
+    b = nu - sum(C)/n.
     """
-    identities = enumerate_identities(n)
-    first = identities[0]
+    n = OddModulus(n)
+    cycles = _halving_walk(n)
+    n = int(n)
+    nu = len(cycles[0])
+    coset_count = len(cycles)
+    # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
+    # none.  -1 can only be 2**(nu/2), the element of order 2 of the cyclic
+    # <2>; for odd nu the test fails by itself, as 2**(nu-1) is not 1.
+    self_complementary = pow(2, nu // 2, n) == n - 1
     return SurveyRow(
-        n=int(first.n),
-        phi=first.nu * len(identities),
-        nu=first.nu,
-        coset_count=len(identities),
-        # x -> -x fixes a coset exactly when -1 is in <n+2>: all cosets or none
-        self_complementary_count=len(identities) * is_self_complementary(first),
-        max_b=max(ident.b for ident in identities),
-        is_prime_power=is_prime_power(int(first.n)),
+        n=n,
+        phi=nu * coset_count,
+        nu=nu,
+        coset_count=coset_count,
+        self_complementary_count=coset_count if self_complementary else 0,
+        max_b=nu - min(map(sum, cycles)) // n,
+        is_prime_power=is_prime_power(n),
     )
 
 
@@ -81,6 +73,8 @@ def survey_range(max_n: int) -> tuple[SurveyRow, ...]:
     """
     if max_n < 3:
         raise DomainError(f"survey range must reach at least 3, got {max_n}")
+    if max_n > _MAX_WALK:  # refused before any row: the last rows could not be walked
+        raise DomainError(f"survey range {max_n} is too large; the limit is n <= {_MAX_WALK}")
     return tuple(survey_row(n) for n in range(3, max_n + 1, 2))
 
 

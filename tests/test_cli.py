@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import cli, run_cli
+from gammaprod import cli, run_cli, survey
 
 N31_COSET_LINES = """\
 (1,33,35,39,47)
@@ -156,6 +156,14 @@ class TestVerifyMax:
             assert run_cli(["verify", str(n)]) == 0
             assert block == capsys.readouterr().out.splitlines()
 
+    def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_WALK", 9)
+        assert run_cli(["verify", "--max", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and "n <= 9" in captured.err
+        assert run_cli(["verify", "--max", "9"]) == 0
+
     @pytest.mark.parametrize("argv", [[], ["7", "--max", "9"], ["--max", "9", "--coset-of", "1"]])
     def test_exactly_one_of_n_and_max(self, argv, capsys):
         assert run_cli(["verify", *argv]) == 2
@@ -209,6 +217,14 @@ class TestSurvey:
 
     def test_max_is_required(self, capsys):
         assert run_cli(["survey"]) == 2
+
+    def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(survey, "_MAX_WALK", 9)
+        assert run_cli(["survey", "--max", "11"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err and "n <= 9" in captured.err
+        assert run_cli(["survey", "--max", "9"]) == 0
 
 
 class TestMersenne:

@@ -285,6 +285,16 @@ class TestHalvingCycles:
             vertices = sorted(v for cycle in halving_cycles(n) for v in cycle.vertices)
             assert vertices == brute_units(n)
 
+    def test_cycle_sums_count_the_lifts_above_n(self):
+        # halving doubles back around a cycle C: 2*sum(C) = sum(C) + n*#odd,
+        # so the lifts above n (the even vertices) number nu - sum(C)/n
+        for n in range(3, 3000, 2):
+            for cycle in halving_cycles(n):
+                k = len(cycle)
+                assert sum(cycle.vertices) % n == 0
+                assert sum(cycle.labels) == n * k
+                assert sum(x > n for x in cycle.labels) == k - sum(cycle.vertices) // n
+
     def test_matches_reference_walk(self):
         for n in range(3, 600, 2):
             cycles = [(c.vertices, c.labels) for c in halving_cycles(n)]

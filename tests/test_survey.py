@@ -1,12 +1,15 @@
 """Survey rows and the recorded n < 100 reference counts."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
+    SurveyRow,
     check_reference_claims,
     enumerate_identities,
     is_prime_power,
     is_self_complementary,
+    survey,
     survey_range,
     survey_row,
     units_mod,
@@ -17,6 +20,27 @@ from gammaprod.errors import DomainError
 MODULI_WITH_MANY_COSETS = (31, 43, 51, 63, 65, 73, 85, 89, 91, 93)
 MODULI_WITH_FULL_ORDER = (3, 5, 9, 11, 13, 19, 25, 27, 29, 37, 53, 59, 61, 67, 81, 83)
 MODULI_WITH_EIGHT_COSETS = (73, 85, 89)
+
+
+def brute_prime_power(n):
+    d = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % d == 0:
+        n //= d
+    return n == 1
+
+
+def reference_row(n):
+    """A survey row built the long way, from every identity record."""
+    identities = enumerate_identities(n)
+    return SurveyRow(
+        n=n,
+        phi=len(units_mod(n)),
+        nu=identities[0].nu,
+        coset_count=len(identities),
+        self_complementary_count=sum(is_self_complementary(i) for i in identities),
+        max_b=max(i.b for i in identities),
+        is_prime_power=brute_prime_power(n),
+    )
 
 
 class TestSurveyRow:
@@ -67,6 +91,20 @@ class TestSurveyRange:
     def test_rejects_short_range(self, bad):
         with pytest.raises(DomainError):
             survey_range(bad)
+
+    def test_refuses_a_range_past_the_walk_limit_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(survey, "_MAX_WALK", 99)
+        with pytest.raises(DomainError, match="the limit is n <= 99"):
+            survey_range(101)
+        assert len(survey_range(99)) == 49
+
+    def test_refuses_a_range_past_the_real_limit_without_walking(self, monkeypatch):
+        def no_row(n):
+            raise AssertionError(f"survey_row({n}) ran before the range was refused")
+
+        monkeypatch.setattr(survey, "survey_row", no_row)
+        with pytest.raises(DomainError, match="too large"):
+            survey_range(10**7 + 1)
 
 
 class TestIsPrimePower:
@@ -131,13 +169,24 @@ class TestReferenceClaims:
 
 
 def test_max_b_matches_identities():
-    for n in (7, 31, 45):
+    for n in range(3, 3000, 2):
         assert survey_row(n).max_b == max(i.b for i in enumerate_identities(n))
 
 
+def test_rows_match_reference_rows():
+    for n in range(3, 1200, 2):
+        assert survey_row(n) == reference_row(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=10**5).map(lambda k: 2 * k + 1))
+def test_large_rows_match_reference_rows(n):
+    assert survey_row(n) == reference_row(n)
+
+
 def test_counts_match_per_coset_reference():
-    # survey_row reads phi and the self-complementary count off the coset
-    # count and the first coset; here both are recomputed the long way
+    # survey_row reads phi off nu * coset_count and the self-complementary
+    # count off one pow test; here both are recomputed the long way
     for n in range(3, 600, 2):
         row = survey_row(n)
         assert row.self_complementary_count == sum(
