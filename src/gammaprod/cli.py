@@ -13,14 +13,10 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError, GammaprodError
-from .identities import (
-    build_identity,
-    enumerate_identities,
-    full_product_identity,
-    mersenne_identity,
-)
+from .identities import (_identity_from_coset, enumerate_identities, full_product_identity,
+                         mersenne_identity)
 from .render import FORMATS, render_identity
-from .residues import _MAX_WALK, OddModulus
+from .residues import _MAX_WALK, OddModulus, _halving_orbit, _is_unit, _lifts
 from .survey import check_reference_claims, survey_range
 from .verification import verify_full_product, verify_identity
 
@@ -93,27 +89,18 @@ def _cmd_identities(args) -> int:
 
 
 def _coset_identity(n, x):
-    """The identity of the coset of x, from the orbit of x under n+2 mod 2n alone."""
+    """The identity of the coset of x: the odd lift of the halving cycle of x mod n."""
     n = OddModulus(n)
-    m, g = 2 * n, n + 2
-    if not 0 < x < m or math.gcd(x, m) != 1:
-        raise DomainError(f"{x} is not a unit modulo {m}")
-    orbit, y = [x], x * g % m
-    while y != x:
-        if len(orbit) == _MAX_WALK:
-            raise DomainError(f"the coset of {x} is too large to enumerate; "
-                              f"the limit is {_MAX_WALK} elements")
-        orbit.append(y)
-        y = y * g % m
-    return build_identity(n, orbit)
+    if not _is_unit(x, 2 * n):
+        raise DomainError(f"{x} is not a unit modulo {2 * n}")
+    vertices = _halving_orbit(int(n), x % n, _MAX_WALK)
+    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
 
 
 def _verify_cosets(n, tol, coset_of=None) -> list:
     """Verify and print the identities for n, or only the coset of coset_of."""
-    if coset_of is None:
-        identities = enumerate_identities(n)
-    else:
-        identities = (_coset_identity(n, coset_of),)
+    identities = (enumerate_identities(n) if coset_of is None
+                  else (_coset_identity(n, coset_of),))
     reports = []
     for identity in identities:
         report = verify_identity(identity, tol)

@@ -11,12 +11,11 @@ integer exponent pair; nothing here touches floating point.
 """
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import OddModulus, coset_decomposition, multiplicative_order
+from .residues import OddModulus, _halving_orbit, _is_unit, coset_decomposition
 
 __all__ = [
     "Rhs",
@@ -95,12 +94,12 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     if len(members) != len(elems):
         raise InvalidCosetError(f"coset has repeated elements: {elems}")
     for x in elems:
-        if not 0 < x < m or math.gcd(x, m) != 1:
+        if not _is_unit(x, m):
             raise InvalidCosetError(f"{x} is not a unit modulo {m}")
-    g = n + 2
-    if {x * g % m for x in members} != members:
-        raise InvalidCosetError(f"{elems} is not closed under multiplication by {g} mod {m}")
-    nu = multiplicative_order(2, n)
+    if {x * (n + 2) % m for x in members} != members:
+        raise InvalidCosetError(f"{elems} is not closed under multiplication by {n + 2} mod {m}")
+    # closure puts the coset of elems[0] in the set, so its cycle fits the limit
+    nu = len(_halving_orbit(int(n), elems[0] % n, len(elems)))
     if len(elems) != nu:
         raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
     return _identity_from_coset(n, tuple(elems), nu)

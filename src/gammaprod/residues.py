@@ -7,7 +7,8 @@ smallest member.  Together this makes every derived listing deterministic.
 
 Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus, and both units_mod and
-the halving walk read their units off it.
+the halving walk read their units off it.  _halving_orbit is the one
+cycle walk; every halving cycle, coset and coset size is read off it.
 """
 
 import itertools
@@ -45,6 +46,11 @@ class OddModulus(int):
         return super().__new__(cls, n)
 
 
+def _is_unit(x: int, m: int) -> bool:
+    """Whether x is a unit representative in (0, m)."""
+    return 0 < x < m and math.gcd(x, m) == 1
+
+
 @dataclass(frozen=True)
 class UnitGroup:
     """Residues in (0, m) coprime to m, ascending; the totient is the length."""
@@ -59,7 +65,7 @@ class UnitGroup:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        return 0 < x < self.modulus and math.gcd(x, self.modulus) == 1
+        return _is_unit(x, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def multiplicative_order(g: int, m: int) -> int:
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
     g %= m
-    if math.gcd(g, m) != 1:
+    if not _is_unit(g, m):
         raise NotAUnitError(f"{g} is not a unit modulo {m}")
     k, acc = 1, g
     while acc != 1:
@@ -154,7 +160,7 @@ def multiplicative_order(g: int, m: int) -> int:
 
 
 def _check_unit(y: int, n: int) -> None:
-    if not 0 < y < n or math.gcd(y, n) != 1:
+    if not _is_unit(y, n):
         raise DomainError(f"{y} is not a unit in (0, {n})")
 
 
@@ -172,8 +178,7 @@ def odd_lift(y: int, n: int) -> int:
 def odd_lift_inverse(x: int, n: int) -> int:
     """Send an odd unit mod 2n back to its representative in (0, n)."""
     n = OddModulus(n)
-    if not 0 < x < 2 * n or math.gcd(x, 2 * n) != 1:
-        raise DomainError(f"{x} is not a unit in (0, {2 * n})")
+    _check_unit(x, 2 * n)
     return x if x < n else x - n
 
 
@@ -184,29 +189,36 @@ def halve_mod(y: int, n: int) -> int:
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
 
+def _halving_orbit(n: int, y: int, limit: int) -> list[int]:
+    """The halving cycle of the unit y mod a plain-int n, starting at y.
+    Halving permutes the units, so no step needs a unit check; a cycle over
+    limit vertices raises DomainError, naming the coset it lifts to."""
+    vertices, v = [], y
+    for _ in itertools.repeat(None, limit):
+        vertices.append(v)
+        v = (v + n) >> 1 if v & 1 else v >> 1
+        if v == y:
+            return vertices
+    raise DomainError(f"the coset of {y if y & 1 else y + n} is too large to enumerate; "
+                      f"the limit is {limit} elements")
+
+
 def _halving_walk(n: OddModulus) -> list[list[int]]:
     """The vertices of each halving cycle mod an already validated n.
 
-    Vertices only: _lifts labels a cycle when a caller needs it.  todo
-    starts as the unit mask, so it holds 1 exactly at the units not yet on
-    a cycle; the walk makes no gcd calls.  Each cycle starts at the
-    smallest such unit, so the cycles come in order of their minimum and
-    each leads with it; the cycle of 1 is first.  Steps are plain
-    arithmetic: halving permutes the units, so no step needs a unit check.
+    Each cycle is one _halving_orbit from the smallest unit not yet on a
+    cycle, so cycles come in order of their minimum, the cycle of 1 first.
+    todo starts as the unit mask and loses each cycle's vertices, so the walk
+    makes no gcd calls.  _lifts labels a cycle when a caller needs it.
     """
     if n > _MAX_WALK:
         raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
     n = int(n)  # arithmetic with the int subclass OddModulus is slower
-    todo = _unit_mask(n)
-    cycles = []
-    start = 1
+    todo, cycles, start = _unit_mask(n), [], 1
     while start != -1:
-        vertices = []
-        v = start
-        while todo[v]:
+        vertices = _halving_orbit(n, start, n)
+        for v in vertices:
             todo[v] = 0
-            vertices.append(v)
-            v = (v + n) >> 1 if v & 1 else v >> 1
         cycles.append(vertices)
         start = todo.find(1, start + 1)
     return cycles

@@ -32,7 +32,9 @@ class SurveyRow:
 
 
 def is_prime_power(n: int) -> bool:
-    """True when n = p**k for a single prime p, k >= 1."""
+    """True when n = p**k for a single prime p, k >= 1; n is bounded like units_mod."""
+    if n > 2 * _MAX_WALK:
+        raise DomainError(f"n={n} is too large to factor; the limit is n <= {2 * _MAX_WALK}")
     return n >= 2 and len(_distinct_primes(n)) == 1
 
 

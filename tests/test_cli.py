@@ -1,6 +1,7 @@
 """Command line behaviour: grammar, output shapes, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +100,22 @@ class TestVerify:
     def test_coset_of_non_unit(self, capsys):
         assert run_cli(["verify", "7", "--coset-of", "2"]) == 2
         assert "not a unit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", range(3, 60, 2))
+    def test_coset_of_matches_the_full_listing(self, n, capsys):
+        assert run_cli(["verify", str(n)]) == 0
+        line_of = {}
+        for line in capsys.readouterr().out.splitlines():
+            coset = line.split("coset=(")[1].split(")")[0]
+            line_of.update((int(x), line) for x in coset.split(","))
+        for x in range(-1, 2 * n + 2):
+            code = run_cli(["verify", str(n), "--coset-of", str(x)])
+            captured = capsys.readouterr()
+            if 0 < x < 2 * n and math.gcd(x, 2 * n) == 1:
+                assert (code, captured.out, captured.err) == (0, line_of[x] + "\n", "")
+            else:
+                assert (code, captured.out) == (2, "")
+                assert "not a unit" in captured.err
 
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run_cli(["verify", "7", "--tol", "1e-30"]) == 1

@@ -43,17 +43,20 @@ class TestBuildIdentity:
         assert build_identity(7, [1, 9, 11]) == build_identity(7, (11, 9, 1))
         assert build_identity(7, [1, 9, 11]) != build_identity(7, [3, 5, 13])
 
-    @pytest.mark.parametrize("coset", [
-        [],
-        [1, 9],               # not closed
-        [1, 9, 9, 11],        # repeated element
-        [1, 2, 11],           # 2 is not a unit mod 14
-        [1, 9, 25],           # out of range
-        [3, 5, 11],           # wrong orbit mix
-        [1, 3, 5, 9, 11, 13]  # union of both cosets: closed but too big
-    ])
-    def test_rejects_non_cosets(self, coset):
-        with pytest.raises(InvalidCosetError):
+    NON_COSETS = [
+        ([], "empty coset"),
+        ([1, 9], "not closed"),
+        ([1, 9, 9, 11], "repeated"),
+        ([1, 2, 11], "2 is not a unit modulo 14"),
+        ([1, 9, 25], "25 is not a unit modulo 14"),  # out of range
+        ([3, 5, 11], "not closed"),  # wrong orbit mix
+        ([1, 3, 5, 9, 11, 13], "union of cosets"),  # both cosets: closed but too big
+    ]
+
+    @pytest.mark.parametrize("coset, match", NON_COSETS,
+                             ids=[f"coset{i}" for i in range(len(NON_COSETS))])
+    def test_rejects_non_cosets(self, coset, match):
+        with pytest.raises(InvalidCosetError, match=match):
             build_identity(7, coset)
 
     def test_rejects_even_modulus(self):

@@ -16,6 +16,7 @@ from gammaprod import (
     units_mod,
 )
 from gammaprod.errors import DomainError, InvalidModulusError, NotAUnitError
+from gammaprod.residues import _halving_orbit
 
 
 def brute_units(m):
@@ -305,6 +306,22 @@ class TestHalvingCycles:
             label_sets = {frozenset(c.labels) for c in halving_cycles(n)}
             coset_sets = {frozenset(c) for c in coset_decomposition(n).cosets}
             assert label_sets == coset_sets
+
+
+class TestHalvingOrbit:
+    def test_is_the_cycle_rotated_to_start_at_y(self):
+        for n in range(3, 600, 2):
+            for cycle in halving_cycles(n):
+                vertices = list(cycle.vertices)
+                for i, y in enumerate(vertices):
+                    assert _halving_orbit(n, y, n) == vertices[i:] + vertices[:i]
+
+    @pytest.mark.parametrize("n, y", [(3, 2), (7, 3), (31, 16), (43, 5), (99, 98), (1023, 1)])
+    def test_limit_is_the_longest_cycle_walked(self, n, y):
+        cycle = _halving_orbit(n, y, n)
+        assert _halving_orbit(n, y, len(cycle)) == cycle
+        with pytest.raises(DomainError, match=f"the limit is {len(cycle) - 1} elements"):
+            _halving_orbit(n, y, len(cycle) - 1)
 
 
 class TestCosetDecomposition:

@@ -116,6 +116,14 @@ class TestIsPrimePower:
     def test_rejects(self, n):
         assert not is_prime_power(n)
 
+    def test_refuses_a_modulus_too_large_to_factor(self):
+        # trial division up to sqrt(2**127 - 1) would never finish
+        with pytest.raises(DomainError, match="too large"):
+            is_prime_power(2**127 - 1)
+        with pytest.raises(DomainError, match="the limit is n <= 20000000"):
+            is_prime_power(20_000_003)
+        assert is_prime_power(19_999_999)  # the largest prime within the limit
+
 
 @pytest.fixture(scope="module")
 def report():
