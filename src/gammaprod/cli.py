@@ -3,6 +3,9 @@
 Subcommands: decompose, identities, verify, survey, mersenne, full-product.
 Exit codes: 0 on success (everything verified), 1 when a verification or
 claim check fails, 2 on usage or domain errors (message on stderr).
+
+The CLI only parses arguments and prints; every coset, record and range
+check comes from the library.
 """
 
 import argparse
@@ -13,11 +16,11 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError, GammaprodError
-from .identities import (_identity_from_coset, enumerate_identities, full_product_identity,
+from .identities import (_coset_identity, enumerate_identities, full_product_identity,
                          mersenne_identity)
 from .render import FORMATS, render_identity
-from .residues import _MAX_WALK, OddModulus, _halving_orbit, _is_unit, _lifts
-from .survey import check_reference_claims, survey_range
+from .residues import _MAX_WALK, coset_decomposition
+from .survey import _odd_moduli, check_reference_claims, survey_range
 from .verification import verify_full_product, verify_identity
 
 
@@ -77,8 +80,8 @@ def _report_line(report, what: str) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    for identity in enumerate_identities(args.n):
-        print(_coset_text(identity.coset))
+    for coset in coset_decomposition(args.n).cosets:
+        print(_coset_text(coset))
     return 0
 
 
@@ -88,19 +91,10 @@ def _cmd_identities(args) -> int:
     return 0
 
 
-def _coset_identity(n, x):
-    """The identity of the coset of x: the odd lift of the halving cycle of x mod n."""
-    n = OddModulus(n)
-    if not _is_unit(x, 2 * n):
-        raise DomainError(f"{x} is not a unit modulo {2 * n}")
-    vertices = _halving_orbit(int(n), x % n, _MAX_WALK)
-    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
-
-
 def _verify_cosets(n, tol, coset_of=None) -> list:
     """Verify and print the identities for n, or only the coset of coset_of."""
     identities = (enumerate_identities(n) if coset_of is None
-                  else (_coset_identity(n, coset_of),))
+                  else (_coset_identity(n, coset_of, _MAX_WALK),))
     reports = []
     for identity in identities:
         report = verify_identity(identity, tol)
@@ -120,12 +114,8 @@ def _cmd_verify(args) -> int:
         return 0 if all(report.passed for report in reports) else 1
     if args.coset_of is not None:
         raise DomainError("--coset-of picks a coset of a single n; it cannot be used with --max")
-    if args.max_n < 3:
-        raise DomainError(f"verify range must reach at least 3, got {args.max_n}")
-    if args.max_n > _MAX_WALK:  # refused before any line: the last moduli could not be walked
-        raise DomainError(f"verify range {args.max_n} is too large; the limit is n <= {_MAX_WALK}")
     cosets, fulls = [], []
-    for n in range(3, args.max_n + 1, 2):
+    for n in _odd_moduli("verify", args.max_n, _MAX_WALK):
         cosets += _verify_cosets(n, args.tol)
         full = verify_full_product(n, args.tol)
         fulls.append(full)

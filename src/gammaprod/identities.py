@@ -8,6 +8,10 @@ units mod 2n yields
 where nu is the coset size (the multiplicative order of 2 mod n) and b
 counts the elements of A above n.  The right side is stored exactly as the
 integer exponent pair; nothing here touches floating point.
+
+build_identity validates a proposed coset; _coset_identity is the one
+routine that reads a single coset's record off its halving cycle, for
+verify --coset-of and the Mersenne family alike.
 """
 
 import bisect
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import OddModulus, _halving_orbit, _is_unit, coset_decomposition
+from .residues import (OddModulus, _halving_orbit, _halving_walk, _is_unit, _lifts,
+                       coset_decomposition)
 
 __all__ = [
     "Rhs",
@@ -77,6 +82,15 @@ def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> Gamm
                                 b=len(coset) - bisect.bisect_right(coset, n))
 
 
+def _coset_identity(n: int, x: int, limit: int) -> GammaProductIdentity:
+    """The record of the coset of the unit x mod 2n: its lifted halving cycle mod n."""
+    n = OddModulus(n)
+    if not _is_unit(x, 2 * n):
+        raise DomainError(f"{x} is not a unit modulo {2 * n}")
+    vertices = _halving_orbit(int(n), x % n, limit)
+    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
+
+
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     """Validate a coset of <n+2> mod 2n and attach its closed form.
 
@@ -129,6 +143,10 @@ def is_self_complementary(identity: GammaProductIdentity) -> bool:
     return set(identity.coset) == {2 * n - x for x in identity.coset}
 
 
+# The text form of the Mersenne identity for m takes about 0.6 * m**2 bytes.
+_MAX_MERSENNE = 10**4
+
+
 def mersenne_identity(m: int) -> GammaProductIdentity:
     """Subgroup identity for n = 2**m - 1.
 
@@ -137,19 +155,17 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
     """
     if m <= 1:
         raise DomainError(f"exponent must be > 1, got {m}")
-    n = (1 << m) - 1
-    return build_identity(n, [1] + [(1 << k) + n for k in range(1, m)])
+    if m > _MAX_MERSENNE:  # refused before the m lifts of m bits each are built
+        raise DomainError(f"exponent {m} is too large; the limit is m <= {_MAX_MERSENNE}")
+    return _coset_identity((1 << m) - 1, 1, m)
 
 
 def full_product_identity(n: int) -> FullProduct:
     """Combine all coset identities: the total product is (2*pi)**(phi(n)/2).
 
-    The cosets partition the units, so their sizes sum to the totient; that
-    the powers of two sum to half of it is a theorem, asserted here as a
-    cross-check.
+    phi is the total length of the halving cycles; that the cosets' powers of
+    two sum to half of it is a theorem the tests pin.
     """
-    identities = enumerate_identities(n)
-    pow2 = sum(identity.b for identity in identities)
-    pi_half_units = sum(identity.nu for identity in identities)
-    assert 2 * pow2 == pi_half_units
-    return FullProduct(n=identities[0].n, pow2=pow2, pi_half_units=pi_half_units)
+    n = OddModulus(n)
+    phi = sum(map(len, _halving_walk(n)))
+    return FullProduct(n=n, pow2=phi // 2, pi_half_units=phi)

@@ -181,6 +181,17 @@ class TestVerifyMax:
         assert "too large" in captured.err and "n <= 9" in captured.err
         assert run_cli(["verify", "--max", "9"]) == 0
 
+    def test_range_past_the_sweep_bound_is_refused_at_once(self, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("a check ran before the range was refused")
+
+        monkeypatch.setattr(cli, "verify_identity", no_check)
+        monkeypatch.setattr(cli, "verify_full_product", no_check)
+        assert run_cli(["verify", "--max", "100001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify range 100001 is too large; the limit is n <= 100000" in captured.err
+
     @pytest.mark.parametrize("argv", [[], ["7", "--max", "9"], ["--max", "9", "--coset-of", "1"]])
     def test_exactly_one_of_n_and_max(self, argv, capsys):
         assert run_cli(["verify", *argv]) == 2
@@ -243,6 +254,16 @@ class TestSurvey:
         assert "too large" in captured.err and "n <= 9" in captured.err
         assert run_cli(["survey", "--max", "9"]) == 0
 
+    def test_range_past_the_sweep_bound_is_refused_at_once(self, capsys, monkeypatch):
+        def no_row(n):
+            raise AssertionError(f"survey_row({n}) ran before the range was refused")
+
+        monkeypatch.setattr(survey, "survey_row", no_row)
+        assert run_cli(["survey", "--max", "100001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "survey range 100001 is too large; the limit is n <= 100000" in captured.err
+
 
 class TestMersenne:
     def test_text(self, capsys):
@@ -257,6 +278,12 @@ class TestMersenne:
     def test_rejects_exponent_one(self, capsys):
         assert run_cli(["mersenne", "1"]) == 2
         assert "exponent" in capsys.readouterr().err
+
+    def test_refuses_an_exponent_past_the_bound(self, capsys):
+        assert run_cli(["mersenne", "10001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent 10001 is too large; the limit is m <= 10000" in captured.err
 
 
 class TestFullProduct:

@@ -118,18 +118,36 @@ class TestMersenne:
         assert int(four.n) == 15 and four.coset == (1, 17, 19, 23) and four.rhs == (3, 4)
 
     def test_matches_subgroup_coset(self):
-        for m in range(2, 17):
+        # the docstring's closed form, which mersenne_identity reads off the
+        # halving cycle of 1 without validating it as build_identity would
+        for m in [*range(2, 17), 61, 89, 127]:
             identity = mersenne_identity(m)
             n = 2 ** m - 1
             assert int(identity.n) == n
             assert identity.nu == m
             assert identity.b == m - 1
-            assert identity.coset == coset_decomposition(n).cosets[0]
+            assert identity.coset == (1, *(2 ** k + n for k in range(1, m)))
+            assert build_identity(n, identity.coset) == identity
+            if m < 17:
+                assert identity.coset == coset_decomposition(n).cosets[0]
 
     @pytest.mark.parametrize("m", [1, 0, -3])
     def test_rejects_small_exponent(self, m):
         with pytest.raises(DomainError):
             mersenne_identity(m)
+
+    def test_refuses_an_exponent_past_the_bound(self):
+        # one past the bound would build in milliseconds, so a missing bound
+        # fails here instead of exhausting memory at a larger m
+        with pytest.raises(DomainError,
+                           match="exponent 10001 is too large; the limit is m <= 10000"):
+            mersenne_identity(10**4 + 1)
+
+    def test_builds_at_the_bound(self):
+        m = 10**4
+        identity = mersenne_identity(m)
+        assert (identity.nu, identity.b) == (m, m - 1)
+        assert identity.coset[0] == 1 and identity.coset[-1] == 2 ** (m - 1) + 2 ** m - 1
 
 
 class TestFullProduct:
@@ -148,7 +166,8 @@ class TestFullProduct:
             assert fp.pi_half_units == phi
 
     def test_sum_of_b_across_cosets(self):
-        for n in (7, 31, 43, 99):
+        # full_product_identity reads pow2 as phi // 2 without summing any b
+        for n in range(3, 600, 2):
             identities = enumerate_identities(n)
             assert sum(i.b for i in identities) == full_product_identity(n).pow2
 

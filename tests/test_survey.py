@@ -103,8 +103,17 @@ class TestSurveyRange:
             raise AssertionError(f"survey_row({n}) ran before the range was refused")
 
         monkeypatch.setattr(survey, "survey_row", no_row)
-        with pytest.raises(DomainError, match="too large"):
-            survey_range(10**7 + 1)
+        # the units walked grow as N**2: 2e9 at N = 10**5, 2e13 at N = 10**7
+        for max_n in (100001, 10**7 + 1):
+            with pytest.raises(DomainError,
+                               match=f"range {max_n} is too large; the limit is n <= 100000"):
+                survey_range(max_n)
+
+    def test_sweep_bound_caps_the_walk_limit(self, monkeypatch):
+        monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
+        with pytest.raises(DomainError, match="the limit is n <= 9"):
+            survey_range(11)
+        assert len(survey_range(9)) == 4
 
 
 class TestIsPrimePower:
