@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _halving_orbit, _halving_walk, _is_unit, _lifts,
+from .residues import (OddModulus, _halving_orbit, _is_unit, _lifts, _walkable_mask,
                        coset_decomposition)
 
 __all__ = [
@@ -82,12 +82,12 @@ def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> Gamm
                                 b=len(coset) - bisect.bisect_right(coset, n))
 
 
-def _coset_identity(n: int, x: int, limit: int) -> GammaProductIdentity:
-    """The record of the coset of the unit x mod 2n: its lifted halving cycle mod n."""
+def _coset_identity(n: int, x: int) -> GammaProductIdentity:
+    """The coset record of the unit x mod 2n: its lifted _halving_orbit, bounded by _MAX_WALK."""
     n = OddModulus(n)
     if not _is_unit(x, 2 * n):
         raise DomainError(f"{x} is not a unit modulo {2 * n}")
-    vertices = _halving_orbit(int(n), x % n, limit)
+    vertices = _halving_orbit(int(n), x % n)
     return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
 
 
@@ -112,8 +112,7 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
             raise InvalidCosetError(f"{x} is not a unit modulo {m}")
     if {x * (n + 2) % m for x in members} != members:
         raise InvalidCosetError(f"{elems} is not closed under multiplication by {n + 2} mod {m}")
-    # closure puts the coset of elems[0] in the set, so its cycle fits the limit
-    nu = len(_halving_orbit(int(n), elems[0] % n, len(elems)))
+    nu = len(_halving_orbit(int(n), elems[0] % n))
     if len(elems) != nu:
         raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
     return _identity_from_coset(n, tuple(elems), nu)
@@ -157,15 +156,15 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
         raise DomainError(f"exponent must be > 1, got {m}")
     if m > _MAX_MERSENNE:  # refused before the m lifts of m bits each are built
         raise DomainError(f"exponent {m} is too large; the limit is m <= {_MAX_MERSENNE}")
-    return _coset_identity((1 << m) - 1, 1, m)
+    return _coset_identity((1 << m) - 1, 1)
 
 
 def full_product_identity(n: int) -> FullProduct:
     """Combine all coset identities: the total product is (2*pi)**(phi(n)/2).
 
-    phi is the total length of the halving cycles; that the cosets' powers of
-    two sum to half of it is a theorem the tests pin.
+    phi is read off the unit mask mod n; that the cosets' powers of two sum
+    to half of it is a theorem the tests pin.
     """
     n = OddModulus(n)
-    phi = sum(map(len, _halving_walk(n)))
+    phi = _walkable_mask(n).count(1)
     return FullProduct(n=n, pow2=phi // 2, pi_half_units=phi)

@@ -146,17 +146,23 @@ def units_mod(m: int) -> UnitGroup:
 
 
 def multiplicative_order(g: int, m: int) -> int:
-    """Smallest k >= 1 with g**k congruent to 1 mod m."""
+    """Smallest k >= 1 with g**k congruent to 1 mod m.
+
+    The search takes one step per power, so an order past 2 * _MAX_WALK,
+    units_mod's bound on m, raises DomainError instead of running on.
+    """
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
     g %= m
     if not _is_unit(g, m):
         raise NotAUnitError(f"{g} is not a unit modulo {m}")
-    k, acc = 1, g
-    while acc != 1:
+    acc = g
+    for k in range(1, 2 * _MAX_WALK + 1):
+        if acc == 1:
+            return k
         acc = acc * g % m
-        k += 1
-    return k
+    raise DomainError(f"the order of {g} modulo {m} is too large to find; "
+                      f"the limit is {2 * _MAX_WALK}")
 
 
 def _check_unit(y: int, n: int) -> None:
@@ -189,18 +195,25 @@ def halve_mod(y: int, n: int) -> int:
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
 
-def _halving_orbit(n: int, y: int, limit: int) -> list[int]:
+def _halving_orbit(n: int, y: int) -> list[int]:
     """The halving cycle of the unit y mod a plain-int n, starting at y.
     Halving permutes the units, so no step needs a unit check; a cycle over
-    limit vertices raises DomainError, naming the coset it lifts to."""
+    _MAX_WALK vertices raises DomainError, naming the coset it lifts to."""
     vertices, v = [], y
-    for _ in itertools.repeat(None, limit):
+    for _ in itertools.repeat(None, _MAX_WALK):
         vertices.append(v)
         v = (v + n) >> 1 if v & 1 else v >> 1
         if v == y:
             return vertices
     raise DomainError(f"the coset of {y if y & 1 else y + n} is too large to enumerate; "
-                      f"the limit is {limit} elements")
+                      f"the limit is {_MAX_WALK} elements")
+
+
+def _walkable_mask(n: int) -> bytearray:
+    """The unit mask of an n the walk accepts: n > _MAX_WALK raises DomainError first."""
+    if n > _MAX_WALK:
+        raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
+    return _unit_mask(int(n))
 
 
 def _halving_walk(n: OddModulus) -> list[list[int]]:
@@ -211,12 +224,10 @@ def _halving_walk(n: OddModulus) -> list[list[int]]:
     todo starts as the unit mask and loses each cycle's vertices, so the walk
     makes no gcd calls.  _lifts labels a cycle when a caller needs it.
     """
-    if n > _MAX_WALK:
-        raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
+    todo, cycles, start = _walkable_mask(n), [], 1
     n = int(n)  # arithmetic with the int subclass OddModulus is slower
-    todo, cycles, start = _unit_mask(n), [], 1
     while start != -1:
-        vertices = _halving_orbit(n, start, n)
+        vertices = _halving_orbit(n, start)
         for v in vertices:
             todo[v] = 0
         cycles.append(vertices)

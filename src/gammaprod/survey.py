@@ -72,13 +72,12 @@ def survey_row(n: int) -> SurveyRow:
 _MAX_SWEEP = 10**5
 
 
-def _odd_moduli(what: str, max_n: int, limit: int) -> range:
-    """The odd n in [3, max_n] of a sweep, refused before any is walked if out of range."""
+def _odd_moduli(what: str, max_n: int) -> range:
+    """The odd n in [3, max_n] of a sweep; a max_n outside [3, _MAX_SWEEP] is refused at once."""
     if max_n < 3:
         raise DomainError(f"{what} range must reach at least 3, got {max_n}")
-    limit = min(limit, _MAX_SWEEP)
-    if max_n > limit:
-        raise DomainError(f"{what} range {max_n} is too large; the limit is n <= {limit}")
+    if max_n > _MAX_SWEEP:
+        raise DomainError(f"{what} range {max_n} is too large; the limit is n <= {_MAX_SWEEP}")
     return range(3, max_n + 1, 2)
 
 
@@ -88,7 +87,7 @@ def survey_range(max_n: int) -> tuple[SurveyRow, ...]:
     Rows are computed independently per modulus; nothing is shared or
     cached across them, so any single row can be recomputed in isolation.
     """
-    return tuple(survey_row(n) for n in _odd_moduli("survey", max_n, _MAX_WALK))
+    return tuple(survey_row(n) for n in _odd_moduli("survey", max_n))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ rounded (math.fsum), so residuals reflect per-term error only.
 
 The default pass tolerance is 1e-9 * (1 + terms), loosened by a further
 1 + ln(2n) factor once n exceeds 10**4 and the per-term contract relaxes.
+A default that reaches ln(2)/2 could not fail a b off by one, so the check
+is refused as inconclusive; an explicit tolerance is taken as given.
 """
 
 import math
@@ -84,6 +86,9 @@ def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
     m = 2 * n
     if tol is None:
         tol = default_tolerance(n, len(xs))
+        if tol >= _LN_2 / 2:  # a b off by one shifts the residual by ln 2
+            raise DomainError(f"the check of {len(xs)} terms at n={n} is inconclusive: its "
+                              f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
     if not (0 < min(xs) and max(xs) < m):  # one range check stands in for log_gamma's
         bad = next(x for x in xs if not 0 < x < m)
         raise DomainError(f"log_gamma argument must lie in (0, 1), got {bad / m}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import cli, run_cli, survey
+from gammaprod import cli, residues, run_cli, survey, verification
 
 N31_COSET_LINES = """\
 (1,33,35,39,47)
@@ -122,6 +122,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
 
+    def test_inconclusive_default_tolerance_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "default_tolerance", lambda n, terms: 0.5)
+        assert run_cli(["verify", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: the check of 3 terms at n=7 is inconclusive" in captured.err
+        assert run_cli(["verify", "7", "--tol", "0.5"]) == 0
+        assert capsys.readouterr().out.count("PASS n=7 coset=") == 2
+
     def test_huge_modulus_walks_only_the_orbit(self, capsys):
         assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 0
         (line,) = capsys.readouterr().out.splitlines()
@@ -136,12 +145,12 @@ class TestVerify:
         assert "too large" in captured.err
 
     def test_coset_of_refuses_an_orbit_over_the_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_WALK", 60)
+        monkeypatch.setattr(residues, "_MAX_WALK", 60)
         assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "too large" in captured.err and "60" in captured.err
-        monkeypatch.setattr(cli, "_MAX_WALK", 61)
+        monkeypatch.setattr(residues, "_MAX_WALK", 61)
         assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 0
 
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
@@ -174,7 +183,7 @@ class TestVerifyMax:
             assert block == capsys.readouterr().out.splitlines()
 
     def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_WALK", 9)
+        monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
         assert run_cli(["verify", "--max", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -241,13 +250,15 @@ class TestSurvey:
 
     def test_check_claims_needs_coverage(self, capsys):
         assert run_cli(["survey", "--max", "51", "--check-claims"]) == 2
-        assert "cover" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cover" in captured.err
+        assert captured.out == ""
 
     def test_max_is_required(self, capsys):
         assert run_cli(["survey"]) == 2
 
     def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
-        monkeypatch.setattr(survey, "_MAX_WALK", 9)
+        monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
         assert run_cli(["survey", "--max", "11"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,0 +1,71 @@
+"""Golden CLI output: one SHA-256 per command group.
+
+Each digest covers, for every invocation in its group, the argv, the exit
+code, stdout and stderr, so any byte that changes in any of them shows up
+as a changed digest.  verify output is left out on purpose: its residual
+digits depend on the platform's libm.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from gammaprod import run_cli
+
+ODD_N = range(1, 200, 2)
+MERSENNE_M = range(2, 65)
+FORMATS = ("text", "latex", "json")
+
+GROUPS = {
+    "decompose": [["decompose", str(n)] for n in ODD_N],
+    **{f"identities-{fmt}": [["identities", str(n), "--format", fmt] for n in ODD_N]
+       for fmt in FORMATS},
+    "full-product": [["full-product", str(n)] for n in ODD_N],
+    **{f"mersenne-{fmt}": [["mersenne", str(m), "--format", fmt] for m in MERSENNE_M]
+       for fmt in FORMATS},
+    "survey-text": [["survey", "--max", "999"]],
+    "survey-json": [["survey", "--max", "999", "--json"]],
+    "check-claims-text": [["survey", "--max", "99", "--check-claims"]],
+    "check-claims-json": [["survey", "--max", "99", "--check-claims", "--json"]],
+    "refusals": [
+        ["decompose", str(2**61 - 1)],
+        ["verify", str(2**61 - 1)],
+        ["verify", "--max", "100001"],
+        ["survey", "--max", "2"],
+        ["mersenne", "10001"],
+    ],
+}
+
+DIGESTS = {
+    "check-claims-json": "dd0aee01e8c30f411ea91c052721b17acc9708f0fc78357e390d1f8212530921",
+    "check-claims-text": "232d86b5dad5e321246b5dadc0391507805512bd8ce32adeb44e6ed9c317cdb2",
+    "decompose": "10dc5c6daa31ed85c0c7369c71c926a37402cbdce7840b06c87503b4bbe92a75",
+    "full-product": "1865129bdbc5c2b20f4ebc13dc90305795148c94f59870eabf46c15457d26c90",
+    "identities-json": "01280c375f774566b15b037e578c8b93ef0b27d0ec177ab3e489b0d476935efd",
+    "identities-latex": "390694bf00e8bb574593cdae45bc9af3df3ae60a9ac88a7260a1a2e21ae03249",
+    "identities-text": "f5629a3a25daa859a17cca155ca90b34164495f46c2d01d3e22bba0d24d3c034",
+    "mersenne-json": "903445d827d296af1e671faebda85cdd962855cb4bfd5662a47117d1f826da95",
+    "mersenne-latex": "eab0baa7ee0acd4d51c102fd5d88ef40ef059d63b36ae2bcc783ea42841d2351",
+    "mersenne-text": "27f3b2f8fa227ae55c823cb80b371152d241139ae4b3d7230a2236e0dfd6dcce",
+    "refusals": "c90b300ff464e8263925915ed8ca8124f2148f9cbee1e3f2637fd34471a934af",
+    "survey-json": "fa40e2f463fd8f3e69e69999208e18326f19cf9a7257ccc2019677b9020f3184",
+    "survey-text": "d6e9c0963b5a069d81added9051702042c1207261124c1918467d242f2821de1",
+}
+
+
+def _digest(argvs) -> str:
+    sha = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        sha.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_output_is_unchanged(group):
+    assert _digest(GROUPS[group]) == DIGESTS[group]

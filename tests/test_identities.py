@@ -171,6 +171,11 @@ class TestFullProduct:
             identities = enumerate_identities(n)
             assert sum(i.b for i in identities) == full_product_identity(n).pow2
 
+    def test_refuses_a_modulus_past_the_walk_limit(self):
+        with pytest.raises(DomainError, match="n=10000001 is too large to enumerate; "
+                                              "the limit is n <= 10000000"):
+            full_product_identity(10**7 + 1)
+
 
 def test_coset_sums_telescope():
     # every coset sums to n * nu, so the shifted terms x - n cancel exactly

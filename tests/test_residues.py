@@ -15,6 +15,7 @@ from gammaprod import (
     odd_lift_inverse,
     units_mod,
 )
+from gammaprod import residues
 from gammaprod.errors import DomainError, InvalidModulusError, NotAUnitError
 from gammaprod.residues import _halving_orbit
 
@@ -172,6 +173,7 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(9, 14) == 3
         assert multiplicative_order(2, 31) == 5
         assert multiplicative_order(2, 43) == 14
+        assert multiplicative_order(2, 2**61 - 1) == 61
 
     def test_matches_brute_force(self):
         for m in (7, 14, 15, 45, 62, 86):
@@ -189,6 +191,15 @@ class TestMultiplicativeOrder:
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidModulusError):
             multiplicative_order(2, 1)
+
+    def test_refuses_an_order_past_the_bound(self, monkeypatch):
+        # at the real bound the refusal takes 2e7 steps; 3 has order (2**61 - 2) / 9 mod 2**61 - 1
+        monkeypatch.setattr(residues, "_MAX_WALK", 5)
+        assert multiplicative_order(2, 1023) == 10  # an order at the bound 2 * 5
+        with pytest.raises(DomainError, match="order of 2 modulo 2047 is too large"):
+            multiplicative_order(2, 2047)  # order 11
+        with pytest.raises(DomainError, match="the limit is 10"):
+            multiplicative_order(3, 2**61 - 1)
 
 
 class TestOddLift:
@@ -314,14 +325,16 @@ class TestHalvingOrbit:
             for cycle in halving_cycles(n):
                 vertices = list(cycle.vertices)
                 for i, y in enumerate(vertices):
-                    assert _halving_orbit(n, y, n) == vertices[i:] + vertices[:i]
+                    assert _halving_orbit(n, y) == vertices[i:] + vertices[:i]
 
     @pytest.mark.parametrize("n, y", [(3, 2), (7, 3), (31, 16), (43, 5), (99, 98), (1023, 1)])
-    def test_limit_is_the_longest_cycle_walked(self, n, y):
-        cycle = _halving_orbit(n, y, n)
-        assert _halving_orbit(n, y, len(cycle)) == cycle
+    def test_limit_is_the_longest_cycle_walked(self, n, y, monkeypatch):
+        cycle = _halving_orbit(n, y)
+        monkeypatch.setattr(residues, "_MAX_WALK", len(cycle))
+        assert _halving_orbit(n, y) == cycle
+        monkeypatch.setattr(residues, "_MAX_WALK", len(cycle) - 1)
         with pytest.raises(DomainError, match=f"the limit is {len(cycle) - 1} elements"):
-            _halving_orbit(n, y, len(cycle) - 1)
+            _halving_orbit(n, y)
 
 
 class TestCosetDecomposition:

@@ -93,7 +93,7 @@ class TestSurveyRange:
             survey_range(bad)
 
     def test_refuses_a_range_past_the_walk_limit_before_any_row(self, monkeypatch):
-        monkeypatch.setattr(survey, "_MAX_WALK", 99)
+        monkeypatch.setattr(survey, "_MAX_SWEEP", 99)
         with pytest.raises(DomainError, match="the limit is n <= 99"):
             survey_range(101)
         assert len(survey_range(99)) == 49

@@ -19,6 +19,7 @@ from gammaprod import (
     verify_full_product,
     verify_identity,
 )
+from gammaprod import residues, verification
 from gammaprod.errors import DomainError
 
 LN2 = math.log(2.0)
@@ -150,6 +151,42 @@ class TestDefaultTolerance:
         big = default_tolerance(10_001, 5)
         assert big > small
         assert big == pytest.approx(small * (1 + math.log(2 * 10_001)))
+
+    def test_loose_default_is_refused_on_a_walkable_coset(self):
+        # n = (2**127 - 1) * 78707: 2 has order 127 mod the first prime and
+        # 78706 = 2 * 23 * 29 * 59 mod the second, so the coset of 1 has
+        # nu = lcm(127, 78706) elements, within the walk limit
+        p, q = 2**127 - 1, 78707
+        n, nu = p * q, math.lcm(127, 78706)
+        assert pow(2, 127, p) == 1 and all(pow(2, 78706 // r, q) != 1 for r in (2, 23, 29, 59))
+        assert nu == 9_995_662 <= residues._MAX_WALK
+        assert default_tolerance(n, nu) == pytest.approx(1.0095, abs=1e-4)
+        assert default_tolerance(n, nu) > LN2  # would pass a b off by one
+        # a range stands in for the coset: the refusal comes before any term
+        with pytest.raises(DomainError, match=f"{nu} terms at n={n} is inconclusive"):
+            verification._residual_report(n, 1, range(1, nu + 1), [], None)
+
+    def test_no_default_under_the_walk_limit_is_refused(self):
+        # the most terms a check of one n <= _MAX_WALK takes is phi(2n) < n
+        limit = residues._MAX_WALK
+        assert default_tolerance(limit, limit) == pytest.approx(0.178, abs=1e-3)
+        assert default_tolerance(limit, limit) < LN2 / 2
+
+
+class TestInconclusiveDefault:
+    @pytest.fixture(autouse=True)
+    def loose_default(self, monkeypatch):
+        monkeypatch.setattr(verification, "default_tolerance", lambda n, terms: 0.5)
+
+    def test_verify_identity_refuses(self):
+        identity = build_identity(7, [1, 9, 11])
+        with pytest.raises(DomainError, match="inconclusive"):
+            verify_identity(identity)
+        assert verify_identity(identity, 0.5).passed
+
+    def test_verify_full_product_refuses(self):
+        with pytest.raises(DomainError, match="inconclusive"):
+            verify_full_product(7)
 
 
 class TestVerifyFullProduct:
