@@ -107,15 +107,27 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     members = set(elems)
     if len(members) != len(elems):
         raise InvalidCosetError(f"coset has repeated elements: {elems}")
+    # A closed set holds the whole orbit of its smallest element.  When that
+    # element is a unit and its orbit is as large as the set, the set is that
+    # orbit and all units, so the other elements are checked only to name the
+    # first non-unit once the closure or size check fails.
+    _check_units(elems[:1], m)
+    g = int(n) + 2
+    if {x * g % m for x in members} != members:
+        _check_units(elems, m)
+        raise InvalidCosetError(f"{elems} is not closed under multiplication by {g} mod {m}")
+    nu = len(_halving_orbit(int(n), elems[0] % n))
+    if len(elems) != nu:
+        _check_units(elems, m)
+        raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
+    return _identity_from_coset(n, tuple(elems), nu)
+
+
+def _check_units(elems: list[int], m: int) -> None:
+    """Raise InvalidCosetError naming the first element that is not a unit mod m."""
     for x in elems:
         if not _is_unit(x, m):
             raise InvalidCosetError(f"{x} is not a unit modulo {m}")
-    if {x * (n + 2) % m for x in members} != members:
-        raise InvalidCosetError(f"{elems} is not closed under multiplication by {n + 2} mod {m}")
-    nu = len(_halving_orbit(int(n), elems[0] % n))
-    if len(elems) != nu:
-        raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
-    return _identity_from_coset(n, tuple(elems), nu)
 
 
 def enumerate_identities(n: int) -> tuple[GammaProductIdentity, ...]:

@@ -110,7 +110,13 @@ _MAX_WALK = 10**7
 
 
 def _distinct_primes(m: int) -> list[int]:
-    """The distinct primes of m >= 2, ascending, by trial division."""
+    """The distinct primes of m >= 2, ascending, by trial division.
+
+    An m past 2 * _MAX_WALK, units_mod's bound, raises DomainError: trial
+    division up to sqrt(m) would not finish for a prime like 2**127 - 1.
+    """
+    if m > 2 * _MAX_WALK:
+        raise DomainError(f"n={m} is too large to factor; the limit is n <= {2 * _MAX_WALK}")
     primes = []
     p = 2
     while p * p <= m:

@@ -182,7 +182,7 @@ class TestVerifyMax:
             assert run_cli(["verify", str(n)]) == 0
             assert block == capsys.readouterr().out.splitlines()
 
-    def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
+    def test_range_past_a_lowered_sweep_bound_is_refused_at_once(self, capsys, monkeypatch):
         monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
         assert run_cli(["verify", "--max", "11"]) == 2
         captured = capsys.readouterr()
@@ -257,7 +257,7 @@ class TestSurvey:
     def test_max_is_required(self, capsys):
         assert run_cli(["survey"]) == 2
 
-    def test_range_past_the_walk_limit_is_refused_at_once(self, capsys, monkeypatch):
+    def test_range_past_a_lowered_sweep_bound_is_refused_at_once(self, capsys, monkeypatch):
         monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
         assert run_cli(["survey", "--max", "11"]) == 2
         captured = capsys.readouterr()

@@ -28,6 +28,9 @@ GROUPS = {
        for fmt in FORMATS},
     "survey-text": [["survey", "--max", "999"]],
     "survey-json": [["survey", "--max", "999", "--json"]],
+    # rows past n = 2000 reach nu >= survey._SCAN_BELOW_NU, so both paths run
+    "survey-4999-text": [["survey", "--max", "4999"]],
+    "survey-4999-json": [["survey", "--max", "4999", "--json"]],
     "check-claims-text": [["survey", "--max", "99", "--check-claims"]],
     "check-claims-json": [["survey", "--max", "99", "--check-claims", "--json"]],
     "refusals": [
@@ -51,6 +54,8 @@ DIGESTS = {
     "mersenne-latex": "eab0baa7ee0acd4d51c102fd5d88ef40ef059d63b36ae2bcc783ea42841d2351",
     "mersenne-text": "27f3b2f8fa227ae55c823cb80b371152d241139ae4b3d7230a2236e0dfd6dcce",
     "refusals": "c90b300ff464e8263925915ed8ca8124f2148f9cbee1e3f2637fd34471a934af",
+    "survey-4999-json": "7aa9d34e3380b2c8c280eea8cd7ff3837e9a0bea9920a83d798027fba101c8e6",
+    "survey-4999-text": "313de6d751c8354c4f8491236d53f03fd4058325b01466938d3f511f3c95ef03",
     "survey-json": "fa40e2f463fd8f3e69e69999208e18326f19cf9a7257ccc2019677b9020f3184",
     "survey-text": "d6e9c0963b5a069d81added9051702042c1207261124c1918467d242f2821de1",
 }

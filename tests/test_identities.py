@@ -51,6 +51,8 @@ class TestBuildIdentity:
         ([1, 9, 25], "25 is not a unit modulo 14"),  # out of range
         ([3, 5, 11], "not closed"),  # wrong orbit mix
         ([1, 3, 5, 9, 11, 13], "union of cosets"),  # both cosets: closed but too big
+        ([1, 7, 9, 11], "7 is not a unit modulo 14"),  # closed: the orbit of 1 and of 7
+        ([0, 1, 9, 11], "0 is not a unit modulo 14"),  # closed, led by a non-unit
     ]
 
     @pytest.mark.parametrize("coset, match", NON_COSETS,

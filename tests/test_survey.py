@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
+    OddModulus,
     SurveyRow,
     check_reference_claims,
     enumerate_identities,
     is_prime_power,
     is_self_complementary,
+    multiplicative_order,
+    residues,
     survey,
     survey_range,
     survey_row,
@@ -92,11 +95,13 @@ class TestSurveyRange:
         with pytest.raises(DomainError):
             survey_range(bad)
 
-    def test_refuses_a_range_past_the_walk_limit_before_any_row(self, monkeypatch):
-        monkeypatch.setattr(survey, "_MAX_SWEEP", 99)
-        with pytest.raises(DomainError, match="the limit is n <= 99"):
-            survey_range(101)
-        assert len(survey_range(99)) == 49
+    @pytest.mark.parametrize("bound, rows", [(9, 4), (99, 49)], ids=["9", "99"])
+    def test_refuses_a_range_past_a_lowered_sweep_bound_before_any_row(self, monkeypatch,
+                                                                      bound, rows):
+        monkeypatch.setattr(survey, "_MAX_SWEEP", bound)
+        with pytest.raises(DomainError, match=f"the limit is n <= {bound}"):
+            survey_range(bound + 2)
+        assert len(survey_range(bound)) == rows
 
     def test_refuses_a_range_past_the_real_limit_without_walking(self, monkeypatch):
         def no_row(n):
@@ -108,12 +113,6 @@ class TestSurveyRange:
             with pytest.raises(DomainError,
                                match=f"range {max_n} is too large; the limit is n <= 100000"):
                 survey_range(max_n)
-
-    def test_sweep_bound_caps_the_walk_limit(self, monkeypatch):
-        monkeypatch.setattr(survey, "_MAX_SWEEP", 9)
-        with pytest.raises(DomainError, match="the limit is n <= 9"):
-            survey_range(11)
-        assert len(survey_range(9)) == 4
 
 
 class TestIsPrimePower:
@@ -132,6 +131,13 @@ class TestIsPrimePower:
         with pytest.raises(DomainError, match="the limit is n <= 20000000"):
             is_prime_power(20_000_003)
         assert is_prime_power(19_999_999)  # the largest prime within the limit
+
+    def test_factoring_bound_follows_the_walk_bound(self, monkeypatch):
+        monkeypatch.setattr(residues, "_MAX_WALK", 50)
+        message = "n=101 is too large to factor; the limit is n <= 100"
+        with pytest.raises(DomainError, match=message):
+            is_prime_power(101)
+        assert is_prime_power(97)
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +215,37 @@ def test_counts_match_per_coset_reference():
         assert row.self_complementary_count == sum(
             is_self_complementary(i) for i in enumerate_identities(n))
         assert row.phi == len(units_mod(n))
+
+
+def test_cycle_sum_is_the_popcount_of_the_binary_period():
+    # u * (2**nu - 1) / n is the repeating nu-bit block of u/n; each 1 bit is
+    # an odd vertex of u's halving cycle C, so the block has sum(C)/n of them
+    for n in range(3, 3000, 2):
+        cycles = residues._halving_walk(OddModulus(n))
+        block = ((1 << len(cycles[0])) - 1) // n
+        for cycle in cycles:
+            total = sum(cycle)
+            assert total % n == 0
+            assert all((u * block).bit_count() == total // n for u in cycle)
+
+
+def _totient(n):
+    return residues._unit_mask(n).count(1)
+
+
+def test_order_of_two_matches_multiplicative_order():
+    for n in range(3, 3000, 2):
+        assert survey._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**6 - 1).map(lambda k: 2 * k + 1))
+def test_order_of_two_matches_on_large_moduli(n):
+    assert survey._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
+
+
+def test_scan_and_walk_give_the_same_rows(monkeypatch):
+    rows = survey_range(1999)
+    for cut in (0, 10**9):  # every row walked, then every row scanned
+        monkeypatch.setattr(survey, "_SCAN_BELOW_NU", cut)
+        assert survey_range(1999) == rows
