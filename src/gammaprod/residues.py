@@ -8,7 +8,7 @@ smallest member.  Together this makes every derived listing deterministic.
 Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus, and both units_mod and
 the halving walk read their units off it.  _halving_orbit is the one
-cycle walk; every halving cycle, coset and coset size is read off it.
+cycle walk; every halving cycle and coset is read off it.
 """
 
 import itertools
