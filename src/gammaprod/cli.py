@@ -11,7 +11,6 @@ check comes from the library.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -21,7 +20,7 @@ from .identities import (_coset_identity, enumerate_identities, full_product_ide
 from .render import FORMATS, render_identity
 from .residues import coset_decomposition
 from .survey import _odd_moduli, check_reference_claims, survey_range
-from .verification import verify_full_product, verify_identity
+from .verification import _check_tolerance, verify_full_product, verify_identity
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,11 +103,8 @@ def _verify_cosets(n, tol, coset_of=None) -> list:
 
 
 def _cmd_verify(args) -> int:
-    if args.tol is not None and args.tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {args.tol}")
-    if args.tol is not None and not math.isfinite(args.tol):
-        # nan fails every check and inf passes any record, however wrong
-        raise DomainError(f"tolerance must be positive and finite, got {args.tol}")
+    if args.tol is not None:
+        _check_tolerance(args.tol)
     if args.max_n is None:
         reports = _verify_cosets(args.n, args.tol, args.coset_of)
         return 0 if all(report.passed for report in reports) else 1

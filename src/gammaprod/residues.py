@@ -6,14 +6,16 @@ and listings are sorted ascending; cycles and cosets are keyed by their
 smallest member.  Together this makes every derived listing deterministic.
 
 Units are never found one gcd at a time: a unit mask sieves out the
-multiples of each distinct prime of the modulus, and both units_mod and
-the halving walk read their units off it.  _halving_orbit is the one
-cycle walk; every halving cycle and coset is read off it.
+multiples of each distinct prime of the modulus.  units_mod reads its units
+off it, and the halving walk consumes the mask its caller sieved, clearing
+each cycle's vertices as it goes.  _halving_orbit is the one cycle walk;
+every halving cycle and coset is read off it.
 """
 
 import itertools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidModulusError, NotAUnitError
@@ -33,14 +35,19 @@ __all__ = [
 ]
 
 
+def _integer(n) -> int:
+    """n as an int, or InvalidModulusError: int() would truncate 7.9 and parse "7"."""
+    try:
+        return operator.index(n)
+    except TypeError as exc:
+        raise InvalidModulusError(f"modulus must be an integer, got {n!r}") from exc
+
+
 class OddModulus(int):
     """An odd integer modulus n > 1; construction enforces the domain."""
 
     def __new__(cls, n: int) -> "OddModulus":
-        try:
-            n = operator.index(n)  # int() would truncate 7.9 and parse "7"
-        except TypeError as exc:
-            raise InvalidModulusError(f"modulus must be an integer, got {n!r}") from exc
+        n = _integer(n)
         if n < 3 or n % 2 == 0:
             raise InvalidModulusError(f"modulus must be odd and > 1, got {n}")
         return super().__new__(cls, n)
@@ -104,8 +111,10 @@ class CosetDecomposition:
         raise DomainError(f"{x} is not a unit modulo {2 * self.n}")
 
 
-# A walk mod n keeps about 80 bytes per unit (64-bit CPython), 0.8 GB at the
-# limit; units_mod takes the moduli 2n of the walkable n.
+# The walk mod n holds one cycle at a time, at most about 41 bytes per unit
+# (64-bit CPython), 0.4 GB at the limit; halving_cycles and coset_decomposition
+# keep every cycle, about 80 bytes per unit, 0.8 GB.  units_mod takes the
+# moduli 2n of the walkable n.
 _MAX_WALK = 10**7
 
 
@@ -222,23 +231,22 @@ def _walkable_mask(n: int) -> bytearray:
     return _unit_mask(int(n))
 
 
-def _halving_walk(n: OddModulus) -> list[list[int]]:
-    """The vertices of each halving cycle mod an already validated n.
+def _halving_walk(todo: bytearray) -> Iterator[list[int]]:
+    """Yield the vertices of each halving cycle mod n = len(todo), one at a time.
 
-    Each cycle is one _halving_orbit from the smallest unit not yet on a
-    cycle, so cycles come in order of their minimum, the cycle of 1 first.
-    todo starts as the unit mask and loses each cycle's vertices, so the walk
-    makes no gcd calls.  _lifts labels a cycle when a caller needs it.
+    todo is the caller's unit mask from _walkable_mask(n), and the walk
+    consumes it: it clears a cycle's vertices, yields the cycle, and walks the
+    next from the smallest unit left, so cycles come in order of their minimum,
+    the cycle of 1 first.  _lifts labels a cycle when a caller needs it.
     """
-    todo, cycles, start = _walkable_mask(n), [], 1
-    n = int(n)  # arithmetic with the int subclass OddModulus is slower
+    n, start = len(todo), 1
     while start != -1:
         vertices = _halving_orbit(n, start)
         for v in vertices:
             todo[v] = 0
-        cycles.append(vertices)
+        yield vertices
+        del vertices  # not alive during the next orbit
         start = todo.find(1, start + 1)
-    return cycles
 
 
 def _lifts(vertices: list[int], n: int) -> list[int]:
@@ -255,7 +263,7 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     """
     n = OddModulus(n)
     return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, int(n))))
-                 for vertices in _halving_walk(n))
+                 for vertices in _halving_walk(_walkable_mask(n)))
 
 
 def coset_decomposition(n: int) -> CosetDecomposition:
@@ -269,10 +277,10 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     subgroup itself comes first.
     """
     n = OddModulus(n)
-    cycles = _halving_walk(n)
-    nu = len(cycles[0])
-    assert all(len(vertices) == nu for vertices in cycles)
     # Already ordered by first element: a cycle's smallest vertex is odd (an
     # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
-    cosets = tuple(tuple(sorted(_lifts(vertices, int(n)))) for vertices in cycles)
+    cosets = tuple(tuple(sorted(_lifts(vertices, int(n))))
+                   for vertices in _halving_walk(_walkable_mask(n)))
+    nu = len(cosets[0])
+    assert all(len(coset) == nu for coset in cosets)
     return CosetDecomposition(n=n, nu=nu, cosets=cosets)

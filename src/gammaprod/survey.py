@@ -6,7 +6,7 @@ from itertools import compress
 from typing import Iterable
 
 from .errors import DomainError
-from .residues import OddModulus, _distinct_primes, _halving_walk, _walkable_mask
+from .residues import OddModulus, _distinct_primes, _halving_walk, _integer, _walkable_mask
 
 __all__ = [
     "SurveyRow",
@@ -34,6 +34,7 @@ class SurveyRow:
 
 def is_prime_power(n: int) -> bool:
     """True when n = p**k for a single prime p, k >= 1; n is bounded like units_mod."""
+    n = _integer(n)
     return n >= 2 and len(_distinct_primes(n)) == 1
 
 
@@ -79,7 +80,7 @@ def survey_row(n: int) -> SurveyRow:
         odd_units = compress(range(1, half, 2), mask[1:half:2])
         low = min(map(int.bit_count, map(block.__mul__, odd_units)))
     else:
-        low = min(map(sum, _halving_walk(n))) // n
+        low = min(map(sum, _halving_walk(mask))) // n
     coset_count = phi // nu
     # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
     # none.  -1 can only be 2**(nu/2), the element of order 2 of the cyclic

@@ -9,7 +9,9 @@ rounded (math.fsum), so residuals reflect per-term error only.
 The default pass tolerance is 1e-9 * (1 + terms), loosened by a further
 1 + ln(2n) factor once n exceeds 10**4 and the per-term contract relaxes.
 A default that reaches ln(2)/2 could not fail a b off by one, so the check
-is refused as inconclusive; an explicit tolerance is taken as given.
+is refused as inconclusive.  An explicit tolerance must be positive and
+finite, since nan fails every check and inf passes any record; within that
+it is taken as given.
 """
 
 import math
@@ -80,6 +82,14 @@ class VerificationReport:
     term_count: int
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse an explicit tolerance that is not positive and finite."""
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
                      tol: float | None) -> VerificationReport:
     """Report on the sum of ln Gamma(x/2n) over xs plus rhs_terms, the negated closed form."""
@@ -89,9 +99,10 @@ def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
         if tol >= _LN_2 / 2:  # a b off by one shifts the residual by ln 2
             raise DomainError(f"the check of {len(xs)} terms at n={n} is inconclusive: its "
                               f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
+    else:
+        _check_tolerance(tol)
     if not (0 < min(xs) and max(xs) < m):  # one range check stands in for log_gamma's
-        bad = next(x for x in xs if not 0 < x < m)
-        raise DomainError(f"log_gamma argument must lie in (0, 1), got {bad / m}")
+        log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)
     lgamma = math.lgamma
     terms = [lgamma(x / m) for x in xs]
     terms.extend(rhs_terms)

@@ -337,6 +337,20 @@ class TestHalvingOrbit:
             _halving_orbit(n, y)
 
 
+class TestHalvingWalk:
+    @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
+    def test_is_lazy_and_consumes_its_mask(self, n):
+        mask = residues._walkable_mask(n)
+        walk = residues._halving_walk(mask)
+        first = next(walk)
+        assert first == _halving_orbit(n, 1)
+        # only the cycle of 1 is cleared so far
+        assert [x for x in range(n) if mask[x]] == sorted(set(brute_units(n)) - set(first))
+        rest = list(walk)
+        assert mask == bytearray(n)
+        assert sorted(first + [v for cycle in rest for v in cycle]) == brute_units(n)
+
+
 class TestCosetDecomposition:
     def test_n3(self):
         decomp = coset_decomposition(3)

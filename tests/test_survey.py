@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
-    OddModulus,
     SurveyRow,
     check_reference_claims,
     enumerate_identities,
@@ -17,7 +16,7 @@ from gammaprod import (
     survey_row,
     units_mod,
 )
-from gammaprod.errors import DomainError
+from gammaprod.errors import DomainError, InvalidModulusError
 
 # frozen by an independent brute-force sweep (seen-array orbits, gcd scans)
 MODULI_WITH_MANY_COSETS = (31, 43, 51, 63, 65, 73, 85, 89, 91, 93)
@@ -124,6 +123,12 @@ class TestIsPrimePower:
     def test_rejects(self, n):
         assert not is_prime_power(n)
 
+    @pytest.mark.parametrize("n", [7.5, 9.0, "9"])
+    def test_refuses_a_non_integer(self, n):
+        # int() would truncate 7.5 to 7 and read 9.0 as 9, both prime powers
+        with pytest.raises(InvalidModulusError, match="modulus must be an integer"):
+            is_prime_power(n)
+
     def test_refuses_a_modulus_too_large_to_factor(self):
         # trial division up to sqrt(2**127 - 1) would never finish
         with pytest.raises(DomainError, match="too large"):
@@ -221,7 +226,7 @@ def test_cycle_sum_is_the_popcount_of_the_binary_period():
     # u * (2**nu - 1) / n is the repeating nu-bit block of u/n; each 1 bit is
     # an odd vertex of u's halving cycle C, so the block has sum(C)/n of them
     for n in range(3, 3000, 2):
-        cycles = residues._halving_walk(OddModulus(n))
+        cycles = list(residues._halving_walk(residues._walkable_mask(n)))
         block = ((1 << len(cycles[0])) - 1) // n
         for cycle in cycles:
             total = sum(cycle)
@@ -242,6 +247,16 @@ def test_order_of_two_matches_multiplicative_order():
 @given(st.integers(min_value=1, max_value=5 * 10**6 - 1).map(lambda k: 2 * k + 1))
 def test_order_of_two_matches_on_large_moduli(n):
     assert survey._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
+
+
+@pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
+def test_a_walked_row_sieves_once(n, monkeypatch):
+    # the walk reads the cycles off the mask the row has already counted
+    sieved, sieve = [], residues._unit_mask
+    monkeypatch.setattr(residues, "_unit_mask", lambda m: sieved.append(m) or sieve(m))
+    monkeypatch.setattr(survey, "_SCAN_BELOW_NU", 0)
+    survey_row(n)
+    assert sieved == [n]
 
 
 def test_scan_and_walk_give_the_same_rows(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import pytest
@@ -110,6 +111,14 @@ class TestVerifyIdentity:
         with pytest.raises(DomainError):
             verify_identity(identity)
 
+    @pytest.mark.parametrize("coset, bad", [((1, 9, 14), 14), ((0, 9, 11), 0),
+                                            ((1, 9, -11), -11), ((16, 9, 20), 16)])
+    def test_out_of_range_message_is_log_gamma_s(self, coset, bad):
+        identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=coset)
+        message = f"log_gamma argument must lie in (0, 1), got {bad / 14}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            verify_identity(identity)
+
     def test_residual_is_fsum_of_public_log_gamma(self):
         for n in range(3, 200, 2):
             for identity in enumerate_identities(n):
@@ -187,6 +196,27 @@ class TestInconclusiveDefault:
     def test_verify_full_product_refuses(self):
         with pytest.raises(DomainError, match="inconclusive"):
             verify_full_product(7)
+
+
+class TestExplicitTolerance:
+    # nan would fail every check and inf would pass a b off by any amount
+    @pytest.mark.parametrize("tol, message", [
+        (math.inf, "tolerance must be positive and finite, got inf"),
+        (math.nan, "tolerance must be positive and finite, got nan"),
+        (0, "tolerance must be positive, got 0"),
+        (-1e-9, "tolerance must be positive, got -1e-09"),
+    ])
+    def test_refused_by_both_verifiers(self, tol, message):
+        wrong = dataclasses.replace(build_identity(7, [1, 9, 11]), b=7)  # b off by 5
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            verify_identity(wrong, tol)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            verify_full_product(7, tol)
+
+    def test_refused_before_the_range_check(self):
+        identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(0, 9, 11))
+        with pytest.raises(DomainError, match="tolerance must be positive"):
+            verify_identity(identity, math.nan)
 
 
 class TestVerifyFullProduct:
