@@ -23,6 +23,13 @@ from .survey import _odd_moduli, check_reference_claims, survey_range
 from .verification import _check_tolerance, verify_full_product, verify_identity
 
 
+def _add_render_options(p: argparse.ArgumentParser) -> None:
+    """--format and --ascii, for the commands that render an identity."""
+    p.add_argument("--format", choices=FORMATS, default="text")
+    p.add_argument("--ascii", action="store_true",
+                   help="write Gamma/pi instead of unicode in text output")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammaprod",
@@ -36,9 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="render every identity for n")
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--ascii", action="store_true",
-                   help="write Gamma/pi instead of unicode in text output")
+    _add_render_options(p)
 
     p = sub.add_parser("verify", help="numerically verify the identities for n, "
                                       "or for every odd n up to --max")
@@ -60,8 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mersenne", help="the subgroup identity for n = 2**m - 1")
     p.add_argument("m", type=int)
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.add_argument("--ascii", action="store_true")
+    _add_render_options(p)
 
     p = sub.add_parser("full-product", help="the product over every unit mod 2n")
     p.add_argument("n", type=int)
@@ -90,39 +94,54 @@ def _cmd_identities(args) -> int:
     return 0
 
 
-def _verify_cosets(n, tol, coset_of=None) -> list:
-    """Verify and print the identities for n, or only the coset of coset_of."""
+class _Tally:
+    """Running totals of verification reports: how many, how many failed,
+    and the first report of largest |residual|, as max() over them all picks."""
+
+    def __init__(self):
+        self.checked = self.failures = 0
+        self.worst = None
+
+    def add(self, report) -> None:
+        self.checked += 1
+        self.failures += not report.passed
+        if self.worst is None or abs(report.residual) > abs(self.worst.residual):
+            self.worst = report
+
+
+def _verify_cosets(n, tol, tally: _Tally, coset_of=None) -> None:
+    """Verify and print the identities for n, or only the coset of coset_of, into tally."""
     identities = (enumerate_identities(n) if coset_of is None
                   else (_coset_identity(n, coset_of),))
-    reports = []
     for identity in identities:
         report = verify_identity(identity, tol)
-        reports.append(report)
+        tally.add(report)
         print(_report_line(report, f"coset={_coset_text(identity.coset)}"))
-    return reports
 
 
 def _cmd_verify(args) -> int:
     if args.tol is not None:
         _check_tolerance(args.tol)
+    cosets = _Tally()
     if args.max_n is None:
-        reports = _verify_cosets(args.n, args.tol, args.coset_of)
-        return 0 if all(report.passed for report in reports) else 1
+        _verify_cosets(args.n, args.tol, cosets, args.coset_of)
+        return 1 if cosets.failures else 0
     if args.coset_of is not None:
         raise DomainError("--coset-of picks a coset of a single n; it cannot be used with --max")
-    cosets, fulls = [], []
+    # a sweep keeps tallies, not reports: only the report in hand and the worst two live
+    fulls = _Tally()
     for n in _odd_moduli("verify", args.max_n):
-        cosets += _verify_cosets(n, args.tol)
+        _verify_cosets(n, args.tol, cosets)
         full = verify_full_product(n, args.tol)
-        fulls.append(full)
+        fulls.add(full)
         print(_report_line(full, "full-product"))
-    failures = sum(not report.passed for report in cosets + fulls)
-    print(f"{len(cosets) + len(fulls)} products checked up to n={args.max_n}, "
+    failures = cosets.failures + fulls.failures
+    print(f"{cosets.checked + fulls.checked} products checked up to n={args.max_n}, "
           f"{failures} failures")
-    worst = max(cosets, key=lambda report: abs(report.residual))
+    worst = cosets.worst
     print(f"worst coset residual {worst.residual:+.3e} at n={worst.n} "
           f"(coset of {worst.coset_min}, {worst.term_count} terms)")
-    worst = max(fulls, key=lambda report: abs(report.residual))
+    worst = fulls.worst
     print(f"worst full-product residual {worst.residual:+.3e} at n={worst.n} "
           f"({worst.term_count} terms)")
     return 1 if failures else 0

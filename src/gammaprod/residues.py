@@ -244,9 +244,11 @@ def _halving_walk(todo: bytearray) -> Iterator[list[int]]:
         vertices = _halving_orbit(n, start)
         for v in vertices:
             todo[v] = 0
+        start = todo.find(1, start + 1)
+        if start == -1:
+            del todo  # spent: not alive while the caller lifts the last cycle
         yield vertices
         del vertices  # not alive during the next orbit
-        start = todo.find(1, start + 1)
 
 
 def _lifts(vertices: list[int], n: int) -> list[int]:

@@ -74,6 +74,7 @@ def survey_row(n: int) -> SurveyRow:
     mask = _walkable_mask(n)
     n = int(n)
     phi = mask.count(1)
+    p = mask.find(0, 1)  # n's least prime, or -1 when n is prime; read before a walk clears mask
     nu = _order_of_two(n, phi)
     if nu < _SCAN_BELOW_NU:
         block, half = ((1 << nu) - 1) // n, n // 2 + 1
@@ -93,7 +94,7 @@ def survey_row(n: int) -> SurveyRow:
         coset_count=coset_count,
         self_complementary_count=coset_count if self_complementary else 0,
         max_b=nu - low,
-        is_prime_power=is_prime_power(n),
+        is_prime_power=p < 0 or phi * p == n * (p - 1),  # phi(p**k) == n * (1 - 1/p)
     )
 
 

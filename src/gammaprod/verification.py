@@ -90,7 +90,7 @@ def _check_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
+def _residual_report(n: int, xs, rhs_terms: list[float],
                      tol: float | None) -> VerificationReport:
     """Report on the sum of ln Gamma(x/2n) over xs plus rhs_terms, the negated closed form."""
     m = 2 * n
@@ -101,7 +101,8 @@ def _residual_report(n: int, coset_min: int, xs, rhs_terms: list[float],
                               f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
     else:
         _check_tolerance(tol)
-    if not (0 < min(xs) and max(xs) < m):  # one range check stands in for log_gamma's
+    coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
+    if not (0 < coset_min and max(xs) < m):  # one range check stands in for log_gamma's
         log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)
     lgamma = math.lgamma
     terms = [lgamma(x / m) for x in xs]
@@ -126,7 +127,7 @@ def verify_identity(identity: GammaProductIdentity,
     tampered identity simply shows up with a large honest residual (a
     wrong b shifts it by multiples of ln 2).
     """
-    return _residual_report(identity.n, min(identity.coset), identity.coset,
+    return _residual_report(identity.n, identity.coset,
                             [-identity.b * _LN_2, -0.5 * identity.nu * _LN_PI], tol)
 
 
@@ -136,4 +137,4 @@ def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     # The units mod 2n come from their own sieve, not from the walk mod n, so
     # term_count checks the decomposition; the tests pin the sieve to a gcd scan.
     units = units_mod(2 * n)
-    return _residual_report(n, 1, units, [-0.5 * len(units) * (_LN_2 + _LN_PI)], tol)
+    return _residual_report(n, units, [-0.5 * len(units) * (_LN_2 + _LN_PI)], tol)

@@ -1,10 +1,12 @@
 """Command line behaviour: grammar, output shapes, exit codes."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,39 @@ class TestVerifyMax:
         assert run_cli(["verify", *argv]) == 2
         assert capsys.readouterr().err
 
+    def test_holds_one_modulus_at_a_time(self, capsys, monkeypatch):
+        # when the sweep reaches a new n, at most the worst earlier coset report lives
+        earlier, current, alive_at_new_n = [], [], []
+        check, last_n = cli.verify_identity, [None]
+
+        def tracked(identity, tol=None):
+            if identity.n != last_n[0]:
+                last_n[0] = identity.n
+                earlier.extend(current)
+                current.clear()
+                gc.collect()
+                alive_at_new_n.append(sum(ref() is not None for ref in earlier))
+            report = check(identity, tol)
+            current.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(cli, "verify_identity", tracked)
+        assert run_cli(["verify", "--max", "45"]) == 0
+        capsys.readouterr()
+        assert len(alive_at_new_n) == 22 and len(earlier) > 22
+        assert alive_at_new_n[0] == 0 and max(alive_at_new_n) == 1
+
+    def test_tally_keeps_the_first_maximal_report(self):
+        reports = [verification.VerificationReport(n=n, coset_min=1, residual=r, tolerance=1.0,
+                                                   passed=abs(r) <= 1.0, term_count=2)
+                   for n, r in [(3, 0.5), (5, -2.0), (7, 2.0), (9, -2.0), (11, 1.0)]]
+        tally = cli._Tally()
+        for report in reports:
+            tally.add(report)
+        assert tally.worst is max(reports, key=lambda report: abs(report.residual))
+        assert tally.worst.n == 5
+        assert (tally.checked, tally.failures) == (5, 3)
+
     def test_absurd_tolerance_fails_with_exit_1(self, capsys):
         assert run_cli(["verify", "--max", "9", "--tol", "1e-30"]) == 1
         out = capsys.readouterr().out
@@ -295,6 +330,17 @@ class TestMersenne:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exponent 10001 is too large; the limit is m <= 10000" in captured.err
+
+    @pytest.mark.parametrize("command", ["identities", "mersenne"])
+    def test_render_options_share_their_help(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--format {text,latex,json}" in text
+        assert "--ascii write Gamma/pi instead of unicode in text output" in text
+
+    def test_ascii(self, capsys):
+        assert run_cli(["mersenne", "3", "--ascii"]) == 0
+        assert capsys.readouterr().out.startswith("Gamma(1/14)")
 
 
 class TestFullProduct:

@@ -21,9 +21,11 @@ from gammaprod import (
     multiplicative_order,
     odd_lift,
     odd_lift_inverse,
+    survey_range,
     survey_row,
     units_mod,
 )
+from gammaprod.identities import _coset_identity
 
 odd_moduli = st.integers(min_value=1, max_value=240).map(lambda k: 2 * k + 1)
 
@@ -90,6 +92,28 @@ def test_coset_sums_telescope(n):
     dec = coset_decomposition(n)
     for coset in dec.cosets:
         assert sum(coset) == n * dec.nu
+
+
+def test_every_coset_sums_to_n_nu():
+    for n in range(3, 3000, 2):
+        dec = coset_decomposition(n)
+        assert all(sum(coset) == n * dec.nu for coset in dec.cosets)
+    n = 1000003  # one coset, of nu = phi = n - 1 elements, read off its orbit
+    coset = _coset_identity(n, 1).coset
+    assert len(coset) == n - 1 and sum(coset) == n * (n - 1)
+
+
+def test_self_complementary_rows_have_max_b_half_nu():
+    rows = [row for row in survey_range(2999) if row.self_complementary_count]
+    assert len(rows) == 503
+    assert all(2 * row.max_b == row.nu for row in rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**4 - 1).map(lambda k: 2 * k + 1))
+def test_self_complementary_rows_have_max_b_half_nu_sampled(n):
+    row = survey_row(n)
+    assert not row.self_complementary_count or 2 * row.max_b == row.nu
 
 
 @given(odd_moduli)

@@ -350,6 +350,17 @@ class TestHalvingWalk:
         assert mask == bytearray(n)
         assert sorted(first + [v for cycle in rest for v in cycle]) == brute_units(n)
 
+    @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
+    def test_lets_go_of_the_spent_mask_before_the_last_cycle(self, n):
+        walk = residues._halving_walk(residues._walkable_mask(n))
+        for _ in range(len(halving_cycles(n)) - 1):
+            next(walk)
+            assert "todo" in walk.gi_frame.f_locals
+        next(walk)
+        # the caller lifts the last cycle without the mask alive beside it
+        assert "todo" not in walk.gi_frame.f_locals
+        assert next(walk, None) is None
+
 
 class TestCosetDecomposition:
     def test_n3(self):

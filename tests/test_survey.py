@@ -259,6 +259,21 @@ def test_a_walked_row_sieves_once(n, monkeypatch):
     assert sieved == [n]
 
 
+@pytest.mark.parametrize("n", [3, 9, 15, 31, 91, 2187, 6561, 15625, 1000003])
+@pytest.mark.parametrize("cut", [0, survey._SCAN_BELOW_NU])  # walked, then as selected
+def test_a_row_factors_n_once(n, cut, monkeypatch):
+    # the sieve's first non-unit is n's least prime p, and n = p**k exactly
+    # when phi = n - n/p, so the prime-power column needs no second factoring
+    factored, factor = [], residues._distinct_primes
+    counted = lambda m: factored.append(m) or factor(m)
+    monkeypatch.setattr(residues, "_distinct_primes", counted)
+    monkeypatch.setattr(survey, "_distinct_primes", counted)
+    monkeypatch.setattr(survey, "_SCAN_BELOW_NU", cut)
+    row = survey_row(n)
+    assert factored.count(n) == 1
+    assert row.is_prime_power == brute_prime_power(n) == is_prime_power(n)
+
+
 def test_scan_and_walk_give_the_same_rows(monkeypatch):
     rows = survey_range(1999)
     for cut in (0, 10**9):  # every row walked, then every row scanned

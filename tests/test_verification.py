@@ -97,6 +97,11 @@ class TestVerifyIdentity:
         assert not report.passed
         assert report.residual == pytest.approx(-LN2, abs=1e-12)
 
+    def test_coset_min_is_read_off_an_unsorted_coset(self):
+        identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(11, 1, 9))
+        report = verify_identity(identity)
+        assert report.coset_min == 1 and report.passed
+
     def test_tampered_coset_reports_honestly(self):
         # no structural validation: a bogus numerator just shifts the residual
         identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(1, 8, 11))
@@ -171,9 +176,9 @@ class TestDefaultTolerance:
         assert nu == 9_995_662 <= residues._MAX_WALK
         assert default_tolerance(n, nu) == pytest.approx(1.0095, abs=1e-4)
         assert default_tolerance(n, nu) > LN2  # would pass a b off by one
-        # a range stands in for the coset: the refusal comes before any term
+        # a range stands in for the coset: the refusal comes before any term or scan
         with pytest.raises(DomainError, match=f"{nu} terms at n={n} is inconclusive"):
-            verification._residual_report(n, 1, range(1, nu + 1), [], None)
+            verification._residual_report(n, range(1, nu + 1), [], None)
 
     def test_no_default_under_the_walk_limit_is_refused(self):
         # the most terms a check of one n <= _MAX_WALK takes is phi(2n) < n
@@ -223,7 +228,7 @@ class TestVerifyFullProduct:
     def test_small(self):
         assert verify_full_product(3).passed
         report = verify_full_product(7)
-        assert report.passed and report.term_count == 6
+        assert report.passed and report.term_count == 6 and report.coset_min == 1
 
     def test_n99(self):
         report = verify_full_product(99)
