@@ -1,6 +1,5 @@
-"""Command line interface.
+"""Command line interface: each subcommand's parser carries its handler as args.run.
 
-Subcommands: decompose, identities, verify, survey, mersenne, full-product.
 Exit codes: 0 on success (everything verified), 1 when a verification or
 claim check fails, 2 on usage or domain errors (message on stderr).
 
@@ -39,14 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="list the cosets of <n+2> in the units mod 2n")
+    p.set_defaults(run=_cmd_decompose)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("identities", help="render every identity for n")
+    p.set_defaults(run=_cmd_identities)
     p.add_argument("n", type=int)
     _add_render_options(p)
 
     p = sub.add_parser("verify", help="numerically verify the identities for n, "
                                       "or for every odd n up to --max")
+    p.set_defaults(run=_cmd_verify)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("n", type=int, nargs="?")
     which.add_argument("--max", type=int, dest="max_n", metavar="N",
@@ -58,16 +60,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verify only the coset containing X")
 
     p = sub.add_parser("survey", help="tabulate coset statistics over odd n")
+    p.set_defaults(run=_cmd_survey)
     p.add_argument("--max", type=int, required=True, dest="max_n")
     p.add_argument("--json", action="store_true")
     p.add_argument("--check-claims", action="store_true",
                    help="also evaluate the recorded n<100 reference counts")
 
     p = sub.add_parser("mersenne", help="the subgroup identity for n = 2**m - 1")
+    p.set_defaults(run=_cmd_mersenne)
     p.add_argument("m", type=int)
     _add_render_options(p)
 
     p = sub.add_parser("full-product", help="the product over every unit mod 2n")
+    p.set_defaults(run=_cmd_full_product)
     p.add_argument("n", type=int)
 
     return parser
@@ -184,16 +189,6 @@ def _cmd_full_product(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "decompose": _cmd_decompose,
-    "identities": _cmd_identities,
-    "verify": _cmd_verify,
-    "survey": _cmd_survey,
-    "mersenne": _cmd_mersenne,
-    "full-product": _cmd_full_product,
-}
-
-
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the subcommand, return the process exit code."""
     parser = _build_parser()
@@ -203,7 +198,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except GammaprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,12 +15,13 @@ verify --coset-of and the Mersenne family alike.
 """
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _halving_orbit, _is_unit, _lifts, _walkable_mask,
-                       coset_decomposition)
+from .residues import (OddModulus, _check_unit, _halving_orbit, _is_unit, _lifts,
+                       _walkable_mask, coset_decomposition)
 
 __all__ = [
     "Rhs",
@@ -85,8 +86,7 @@ def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> Gamm
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: its lifted _halving_orbit, bounded by _MAX_WALK."""
     n = OddModulus(n)
-    if not _is_unit(x, 2 * n):
-        raise DomainError(f"{x} is not a unit modulo {2 * n}")
+    _check_unit(x, 2 * n)
     vertices = _halving_orbit(int(n), x % n)
     return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
 
@@ -97,11 +97,11 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     The elements must be distinct units mod 2n, closed under multiplication
     by n+2, and exactly one coset in size; anything else raises
     InvalidCosetError.  Input order does not matter, the stored coset is
-    ascending.
+    ascending, and any integer type (numpy's, bool) is stored as a Python int.
     """
     n = OddModulus(n)
     m = 2 * n
-    elems = sorted(coset)
+    elems = _integers(coset)
     if not elems:
         raise InvalidCosetError("empty coset")
     members = set(elems)
@@ -121,6 +121,20 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
         _check_units(elems, m)
         raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
     return _identity_from_coset(n, tuple(elems), nu)
+
+
+def _integers(coset: Iterable[int]) -> list[int]:
+    """The elements as Python ints, ascending; InvalidCosetError names the first non-integer."""
+    elems = list(coset)
+    try:
+        return sorted(map(operator.index, elems))
+    except TypeError:
+        for x in elems:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise InvalidCosetError(f"{x!r} is not an integer") from None
+        raise
 
 
 def _check_units(elems: list[int], m: int) -> None:

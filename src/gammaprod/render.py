@@ -13,8 +13,6 @@ from .identities import GammaProductIdentity
 
 __all__ = ["FORMATS", "RenderedIdentity", "render_identity"]
 
-FORMATS = ("text", "latex", "json")
-
 
 @dataclass(frozen=True)
 class RenderedIdentity:
@@ -48,14 +46,14 @@ def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return f"{lhs} = {_rhs(identity.b, identity.nu, times, pi_sym, latex=False)}"
 
 
-def _latex(identity: GammaProductIdentity) -> str:
+def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     m = identity.modulus
     lhs = "".join(rf"\Gamma\left(\frac{{{x}}}{{{m}}}\right)" for x in identity.coset)
     rhs = _rhs(identity.b, identity.nu, "", r"\pi", latex=True)
     return rf"\[{lhs} = {rhs}\]"
 
 
-def _json(identity: GammaProductIdentity) -> str:
+def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return json.dumps({
         "n": int(identity.n),
         "modulus": identity.modulus,
@@ -66,6 +64,10 @@ def _json(identity: GammaProductIdentity) -> str:
     })
 
 
+_RENDERERS = {"text": _text, "latex": _latex, "json": _json}
+FORMATS = tuple(_RENDERERS)
+
+
 def render_identity(identity: GammaProductIdentity, fmt: str = "text",
                     ascii_symbols: bool = False) -> RenderedIdentity:
     """Render one identity as a single-line payload in the given format.
@@ -73,12 +75,6 @@ def render_identity(identity: GammaProductIdentity, fmt: str = "text",
     ascii_symbols swaps the Unicode Gamma/pi/dot of the text format for
     pure ASCII spellings; it has no effect on latex or json.
     """
-    if fmt == "text":
-        payload = _text(identity, ascii_symbols)
-    elif fmt == "latex":
-        payload = _latex(identity)
-    elif fmt == "json":
-        payload = _json(identity)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    return RenderedIdentity(format=fmt, payload=payload)
+    return RenderedIdentity(format=fmt, payload=_RENDERERS[fmt](identity, ascii_symbols))

@@ -105,10 +105,11 @@ class CosetDecomposition:
         return len(self.cosets)
 
     def coset_containing(self, x: int) -> tuple[int, ...]:
+        _check_unit(x, 2 * self.n)
         for coset in self.cosets:
             if x in coset:
                 return coset
-        raise DomainError(f"{x} is not a unit modulo {2 * self.n}")
+        raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
 # The walk mod n holds one cycle at a time, at most about 41 bytes per unit
@@ -164,11 +165,16 @@ def multiplicative_order(g: int, m: int) -> int:
     """Smallest k >= 1 with g**k congruent to 1 mod m.
 
     The search takes one step per power, so an order past 2 * _MAX_WALK,
-    units_mod's bound on m, raises DomainError instead of running on.
+    units_mod's bound on m, raises DomainError instead of running on.  Both
+    arguments are read as Python ints, so no product overflows.
     """
+    m = _integer(m)
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-    g %= m
+    try:
+        g = operator.index(g) % m
+    except TypeError as exc:
+        raise DomainError(f"{g!r} is not an integer") from exc
     if not _is_unit(g, m):
         raise NotAUnitError(f"{g} is not a unit modulo {m}")
     acc = g

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import cli, residues, run_cli, survey, verification
+from gammaprod import FORMATS, cli, residues, run_cli, survey, verification
 
 N31_COSET_LINES = """\
 (1,33,35,39,47)
@@ -102,6 +102,11 @@ class TestVerify:
     def test_coset_of_non_unit(self, capsys):
         assert run_cli(["verify", "7", "--coset-of", "2"]) == 2
         assert "not a unit" in capsys.readouterr().err
+
+    def test_coset_of_names_the_range_it_is_outside(self, capsys):
+        # 15 = 1 mod 14 is a unit; what is wrong is that it lies outside (0, 14)
+        assert run_cli(["verify", "7", "--coset-of", "15"]) == 2
+        assert capsys.readouterr() == ("", "error: 15 is not a unit in (0, 14)\n")
 
     @pytest.mark.parametrize("n", range(3, 60, 2))
     def test_coset_of_matches_the_full_listing(self, n, capsys):
@@ -336,6 +341,7 @@ class TestMersenne:
         assert run_cli([command, "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "--format {text,latex,json}" in text
+        assert "--format {" + ",".join(FORMATS) + "}" in text  # offers exactly the renderers
         assert "--ascii write Gamma/pi instead of unicode in text output" in text
 
     def test_ascii(self, capsys):
@@ -372,12 +378,37 @@ class TestUsage:
         assert run_cli(["decompose", "seven"]) == 2
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    assert run_cli(["verify", "7"]) == 0
-    expected = capsys.readouterr().out
+def _python_m_gammaprod(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "gammaprod", "verify", "7"],
+    return subprocess.run([sys.executable, "-m", "gammaprod", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    assert run_cli(["verify", "7"]) == 0
+    expected = capsys.readouterr().out
+    proc = _python_m_gammaprod("verify", "7")
     assert (proc.stdout, proc.returncode, proc.stderr) == (expected, 0, "")
+
+
+ENTRY_CASES = [(["identities", "7"], 0), (["verify", "7", "--tol", "1e-30"], 1),
+               (["decompose", "4"], 2)]
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_CASES)
+def test_python_dash_m_matches_run_cli(argv, code, capsys):
+    assert run_cli(argv) == code
+    expected = capsys.readouterr()
+    assert expected.err.startswith("error: ") == (code == 2)
+    proc = _python_m_gammaprod(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_CASES)
+def test_main_exits_with_the_code_run_cli_returns(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["gammaprod", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code

@@ -3,13 +3,20 @@
 Each digest covers, for every invocation in its group, the argv, the exit
 code, stdout and stderr, so any byte that changes in any of them shows up
 as a changed digest.  verify output is left out on purpose: its residual
-digits depend on the platform's libm.
+digits depend on the platform's libm.  The same digests are recomputed
+under every supported interpreter found on PATH.
 """
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +81,30 @@ def _digest(argvs) -> str:
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_output_is_unchanged(group):
     assert _digest(GROUPS[group]) == DIGESTS[group]
+
+
+# A stdlib-only child: it reads GROUPS on stdin and prints their digests.
+_CHILD = "\n".join([
+    "import contextlib, hashlib, io, json, sys",
+    "from gammaprod import run_cli",
+    inspect.getsource(_digest),
+    "print(json.dumps({group: _digest(argvs) for group, argvs in json.load(sys.stdin).items()}))",
+])
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])  # pyproject.toml: requires-python >= 3.10
+def test_digests_match_under_each_supported_interpreter(minor):
+    if sys.version_info[:2] == (3, minor):
+        pytest.skip("the running interpreter is checked in process")
+    exe = shutil.which(f"python3.{minor}")
+    if exe is None:
+        pytest.skip(f"no python3.{minor} on PATH")
+    probe = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0 or probe.stdout.split() != ["3", str(minor)]:
+        pytest.skip(f"python3.{minor} on PATH does not start as Python 3.{minor}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([exe, "-c", _CHILD], input=json.dumps(GROUPS), capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == DIGESTS

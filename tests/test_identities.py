@@ -1,6 +1,8 @@
 """Identity construction, complements, the Mersenne family and full products."""
 
 import dataclasses
+import json
+import re
 
 import pytest
 
@@ -13,6 +15,7 @@ from gammaprod import (
     full_product_identity,
     is_self_complementary,
     mersenne_identity,
+    render_identity,
     units_mod,
 )
 from gammaprod.errors import DomainError, InvalidCosetError, InvalidModulusError
@@ -64,6 +67,61 @@ class TestBuildIdentity:
     def test_rejects_even_modulus(self):
         with pytest.raises(InvalidModulusError):
             build_identity(8, [1, 3])
+
+
+class TestIntegerElements:
+    """Coset elements of any integer type are read as Python ints, so the
+    closure products cannot overflow and the record renders as JSON."""
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    @staticmethod
+    def assert_python_ints(identity):
+        assert all(type(x) is int for x in identity.coset)
+
+    def test_numpy_int8_coset(self):
+        np = pytest.importorskip("numpy")
+        # 47 * 33 overflows int8
+        identity = build_identity(31, np.array([1, 33, 35, 39, 47], dtype=np.int8))
+        assert identity == build_identity(31, [1, 33, 35, 39, 47])
+        self.assert_python_ints(identity)
+
+    def test_numpy_int64_mersenne_coset(self):
+        np = pytest.importorskip("numpy")
+        expected = mersenne_identity(61)
+        identity = build_identity(2**61 - 1, np.array(expected.coset, dtype=np.int64))
+        assert identity == expected
+        self.assert_python_ints(identity)
+
+    def test_numpy_coset_renders_as_json(self):
+        np = pytest.importorskip("numpy")
+        identity = build_identity(7, np.array([11, 1, 9]))
+        assert json.loads(render_identity(identity, "json").payload)["coset"] == [1, 9, 11]
+
+    def test_bool_is_stored_as_int(self):
+        identity = build_identity(7, [True, 9, 11])
+        self.assert_python_ints(identity)
+        assert '"coset": [1, 9, 11]' in render_identity(identity, "json").payload
+
+    def test_any_index_type(self):
+        identity = build_identity(7, [self.Index(11), self.Index(1), self.Index(9)])
+        assert identity == build_identity(7, [1, 9, 11])
+        self.assert_python_ints(identity)
+
+    @pytest.mark.parametrize("coset, bad", [
+        ([1.0, 9, 11], "1.0"),
+        (["1", "9", "11"], "'1'"),
+        ([1, 9, 11.5], "11.5"),
+        (iter([1, None, 11]), "None"),
+    ])
+    def test_refuses_the_first_non_integer(self, coset, bad):
+        with pytest.raises(InvalidCosetError, match=f"^{re.escape(bad)} is not an integer$"):
+            build_identity(7, coset)
 
 
 class TestEnumerate:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gammaprod import (
+    FORMATS,
     build_identity,
     enumerate_identities,
     mersenne_identity,
@@ -98,5 +99,14 @@ class TestPlumbing:
         assert isinstance(rendered.payload, str)
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError, match="unknown format"):
+        with pytest.raises(ValueError, match="unknown format") as exc:
             render_identity(N7, "yaml")
+        assert str(exc.value) == "unknown format 'yaml', expected one of ('text', 'latex', 'json')"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_every_format_renders_one_line(self, fmt):
+        plain, ascii_ = (render_identity(N31, fmt, ascii_symbols=a) for a in (False, True))
+        for rendered in (plain, ascii_):
+            assert rendered.format == fmt
+            assert rendered.payload and "\n" not in rendered.payload
+        assert (plain == ascii_) == (fmt != "text")  # ascii_symbols touches only text

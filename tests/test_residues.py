@@ -1,6 +1,7 @@
 """Unit groups, orders, lifts, halving cycles and coset partitions."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,18 @@ from gammaprod import (
     units_mod,
 )
 from gammaprod import residues
-from gammaprod.errors import DomainError, InvalidModulusError, NotAUnitError
-from gammaprod.residues import _halving_orbit
+from gammaprod.errors import DomainError, GammaprodError, InvalidModulusError, NotAUnitError
+from gammaprod.residues import CosetDecomposition, _halving_orbit
+
+
+class Index:
+    """An integer stand-in that only has __index__, as numpy's integers do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def brute_units(m):
@@ -191,6 +202,26 @@ class TestMultiplicativeOrder:
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidModulusError):
             multiplicative_order(2, 1)
+
+    def test_reads_numpy_integers_as_python_ints(self):
+        np = pytest.importorskip("numpy")
+        # in int8 arithmetic 3**k mod 127 overflows and never returns to 1
+        assert multiplicative_order(np.int8(3), 127) == 126
+        assert multiplicative_order(np.int64(2), np.int64(2**61 - 1)) == 61
+
+    def test_reads_any_index_type(self):
+        assert multiplicative_order(Index(3), Index(127)) == 126
+        assert multiplicative_order(True, 7) == 1
+
+    @pytest.mark.parametrize("g", [1.0, 1.5, "3", None])
+    def test_refuses_a_non_integer_element(self, g):
+        with pytest.raises(GammaprodError, match="is not an integer"):
+            multiplicative_order(g, 7)
+
+    @pytest.mark.parametrize("m", [7.0, "7"])
+    def test_refuses_a_non_integer_modulus(self, m):
+        with pytest.raises(InvalidModulusError, match="modulus must be an integer"):
+            multiplicative_order(3, m)
 
     def test_refuses_an_order_past_the_bound(self, monkeypatch):
         # at the real bound the refusal takes 2e7 steps; 3 has order (2**61 - 2) / 9 mod 2**61 - 1
@@ -426,6 +457,18 @@ class TestCosetDecomposition:
         assert decomp.coset_containing(43) == (3, 17, 37, 43, 55)
         with pytest.raises(DomainError):
             decomp.coset_containing(2)
+
+    @pytest.mark.parametrize("x", [-1, 0, 2, 7, 14, 15])
+    def test_coset_containing_refuses_what_is_no_unit_in_range(self, x):
+        # 15 = 1 mod 14 is a unit, but not a representative in (0, 14)
+        with pytest.raises(DomainError, match=re.escape(f"{x} is not a unit in (0, 14)")):
+            coset_decomposition(7).coset_containing(x)
+
+    def test_coset_containing_a_unit_a_hand_built_decomposition_lacks(self):
+        partial = CosetDecomposition(n=OddModulus(7), nu=3, cosets=((1, 9, 11),))
+        assert partial.coset_containing(9) == (1, 9, 11)
+        with pytest.raises(DomainError, match="no coset holds 3"):
+            partial.coset_containing(3)
 
     def test_rejects_even(self):
         with pytest.raises(InvalidModulusError):
