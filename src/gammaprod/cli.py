@@ -18,7 +18,7 @@ from .identities import (_coset_identity, enumerate_identities, full_product_ide
                          mersenne_identity)
 from .render import FORMATS, render_identity
 from .residues import coset_decomposition
-from .survey import _odd_moduli, check_reference_claims, survey_range
+from .survey import ClaimReport, _odd_moduli, check_reference_claims, survey_range
 from .verification import _check_tolerance, verify_full_product, verify_identity
 
 
@@ -155,7 +155,7 @@ def _cmd_verify(args) -> int:
 def _cmd_survey(args) -> int:
     rows = survey_range(args.max_n)
     # the claims are checked before any row prints, so a short range prints nothing
-    claims = check_reference_claims(rows).claims if args.check_claims else ()
+    report = check_reference_claims(rows) if args.check_claims else ClaimReport(claims=())
     for row in rows:
         if args.json:
             print(json.dumps(dataclasses.asdict(row)))
@@ -163,7 +163,7 @@ def _cmd_survey(args) -> int:
             print(f"n={row.n} phi={row.phi} nu={row.nu} cosets={row.coset_count} "
                   f"self_complementary={row.self_complementary_count} max_b={row.max_b} "
                   f"prime_power={'yes' if row.is_prime_power else 'no'}")
-    for claim in claims:
+    for claim in report.claims:
         if args.json:
             fields = dataclasses.asdict(claim)
             print(json.dumps({"claim": fields.pop("key"), **fields}))
@@ -173,7 +173,7 @@ def _cmd_survey(args) -> int:
             if claim.derived:
                 line += " derived=" + ",".join(str(v) for v in claim.derived)
             print(line)
-    return 0 if all(claim.passed for claim in claims) else 1
+    return 0 if report.all_passed else 1
 
 
 def _cmd_mersenne(args) -> int:

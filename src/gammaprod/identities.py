@@ -100,48 +100,41 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     ascending, and any integer type (numpy's, bool) is stored as a Python int.
     """
     n = OddModulus(n)
-    m = 2 * n
-    elems = _integers(coset)
-    if not elems:
-        raise InvalidCosetError("empty coset")
-    members = set(elems)
-    if len(members) != len(elems):
-        raise InvalidCosetError(f"coset has repeated elements: {elems}")
-    # A closed set holds the whole orbit of its smallest element.  When that
-    # element is a unit and its orbit is as large as the set, the set is that
-    # orbit and all units, so the other elements are checked only to name the
-    # first non-unit once the closure or size check fails.
-    _check_units(elems[:1], m)
-    g = int(n) + 2
-    if {x * g % m for x in members} != members:
-        _check_units(elems, m)
-        raise InvalidCosetError(f"{elems} is not closed under multiplication by {g} mod {m}")
-    nu = len(_halving_orbit(int(n), elems[0] % n))
-    if len(elems) != nu:
-        _check_units(elems, m)
-        raise InvalidCosetError(f"{elems} is a union of cosets, not a single coset of size {nu}")
-    return _identity_from_coset(n, tuple(elems), nu)
-
-
-def _integers(coset: Iterable[int]) -> list[int]:
-    """The elements as Python ints, ascending; InvalidCosetError names the first non-integer."""
-    elems = list(coset)
+    m, g = 2 * n, int(n) + 2
+    given = list(coset)
     try:
-        return sorted(map(operator.index, elems))
+        elems = sorted(map(operator.index, given))
     except TypeError:
-        for x in elems:
-            try:
-                operator.index(x)
-            except TypeError:
-                raise InvalidCosetError(f"{x!r} is not an integer") from None
-        raise
+        elems = []
+    # A closed set holds the orbit of its least element, a coset when that
+    # element is a unit.  A closed set of that orbit's size is the orbit, so
+    # its elements are distinct units and nothing else needs a check.
+    nu = None  # stays None unless the set is closed
+    if (elems and _is_unit(elems[0], m) and {x * g % m for x in elems} == set(elems)
+            and len(elems) == (nu := len(_halving_orbit(int(n), elems[0] % n)))):
+        return _identity_from_coset(n, tuple(elems), nu)
+    raise InvalidCosetError(_coset_fault(m, given, elems, nu))
 
 
-def _check_units(elems: list[int], m: int) -> None:
-    """Raise InvalidCosetError naming the first element that is not a unit mod m."""
+def _coset_fault(m: int, given: list, elems: list[int], nu: int | None) -> str:
+    """Why build_identity refused given, the first fault in this order: a
+    non-integer, no element, a repeat, a non-unit, no closure (nu is None),
+    and last a closed set of the wrong size.  elems is given as ascending ints."""
+    for x in given:
+        try:
+            operator.index(x)
+        except TypeError:
+            return f"{x!r} is not an integer"
+    if not elems:
+        return "empty coset"
+    if len(set(elems)) != len(elems):
+        return f"coset has repeated elements: {elems}"
     for x in elems:
         if not _is_unit(x, m):
-            raise InvalidCosetError(f"{x} is not a unit modulo {m}")
+            return f"{x} is not a unit modulo {m}"
+    if nu is None:
+        return f"{elems} is not closed under multiplication by {m // 2 + 2} mod {m}"
+    return f"{elems} is a union of cosets, not a single coset of size {nu}"
 
 
 def enumerate_identities(n: int) -> tuple[GammaProductIdentity, ...]:

@@ -158,56 +158,49 @@ def check_reference_claims(rows: Iterable[SurveyRow]) -> ClaimReport:
     if missing:
         raise DomainError(f"rows must cover all odd n in [3, 99]; missing {missing}")
     surveyed = [by_n[n] for n in sorted(by_n)]
-
-    claims = []
-
-    gt2 = tuple(row.n for row in surveyed if row.coset_count > 2)
-    claims.append(ClaimResult(
-        key="more-than-two-cosets",
-        passed=len(gt2) == 9,
-        expected="9 moduli with more than 2 cosets",
-        observed=f"{len(gt2)} moduli",
-        derived=gt2,
-    ))
-
-    odd_counts = tuple(row.n for row in surveyed
-                       if row.coset_count > 2 and row.coset_count % 2 == 1)
+    many = [row for row in surveyed if row.coset_count > 2]
+    odd_counts = [row.n for row in many if row.coset_count % 2 == 1]
     row43 = by_n[43]
-    claims.append(ClaimResult(
-        key="odd-coset-count",
-        passed=(odd_counts == (43,) and row43.coset_count == 3
-                and row43.self_complementary_count == 3),
-        expected="only n=43, with 3 cosets, all self-complementary",
-        observed=(f"odd counts at {list(odd_counts)}; n=43 has {row43.coset_count} cosets, "
-                  f"{row43.self_complementary_count} self-complementary"),
-    ))
-
-    others = [row for row in surveyed if row.coset_count > 2 and row.n != 43]
+    others = [row for row in many if row.n != 43]
     top = max((row.coset_count for row in others), default=0)
-    claims.append(ClaimResult(
-        key="even-counts-max-8",
-        passed=all(row.coset_count % 2 == 0 for row in others) and top == 8,
-        expected="every other count even, maximum 8",
-        observed=f"parities {'all even' if all(r.coset_count % 2 == 0 for r in others) else 'mixed'}, "
-                 f"maximum {top}",
-        derived=tuple(row.n for row in others if row.coset_count == 8),
-    ))
-
+    all_even = set(odd_counts) <= {43}  # no odd count outside n=43
     single = tuple(row.n for row in surveyed if row.nu == row.phi)
-    claims.append(ClaimResult(
-        key="order-equals-totient",
-        passed=len(single) == 16,
-        expected="16 moduli where the order of 2 is the full totient",
-        observed=f"{len(single)} moduli",
-        derived=single,
-    ))
+    non_pp = [n for n in single if not by_n[n].is_prime_power]
 
-    non_pp = tuple(n for n in single if not by_n[n].is_prime_power)
-    claims.append(ClaimResult(
-        key="order-equals-totient-prime-power",
-        passed=not non_pp,
-        expected="each such modulus a prime or prime power",
-        observed="all prime powers" if not non_pp else f"exceptions {list(non_pp)}",
+    return ClaimReport(claims=(
+        ClaimResult(
+            key="more-than-two-cosets",
+            passed=len(many) == 9,
+            expected="9 moduli with more than 2 cosets",
+            observed=f"{len(many)} moduli",
+            derived=tuple(row.n for row in many),
+        ),
+        ClaimResult(
+            key="odd-coset-count",
+            passed=(odd_counts == [43] and row43.coset_count == 3
+                    and row43.self_complementary_count == 3),
+            expected="only n=43, with 3 cosets, all self-complementary",
+            observed=(f"odd counts at {odd_counts}; n=43 has {row43.coset_count} cosets, "
+                      f"{row43.self_complementary_count} self-complementary"),
+        ),
+        ClaimResult(
+            key="even-counts-max-8",
+            passed=all_even and top == 8,
+            expected="every other count even, maximum 8",
+            observed=f"parities {'all even' if all_even else 'mixed'}, maximum {top}",
+            derived=tuple(row.n for row in others if row.coset_count == 8),
+        ),
+        ClaimResult(
+            key="order-equals-totient",
+            passed=len(single) == 16,
+            expected="16 moduli where the order of 2 is the full totient",
+            observed=f"{len(single)} moduli",
+            derived=single,
+        ),
+        ClaimResult(
+            key="order-equals-totient-prime-power",
+            passed=not non_pp,
+            expected="each such modulus a prime or prime power",
+            observed=f"exceptions {non_pp}" if non_pp else "all prime powers",
+        ),
     ))
-
-    return ClaimReport(claims=tuple(claims))

@@ -1,5 +1,7 @@
 """Survey rows and the recorded n < 100 reference counts."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +196,67 @@ class TestReferenceClaims:
             check_reference_claims(survey_range(97))
         with pytest.raises(DomainError):
             check_reference_claims([])
+
+
+def _altered_report(changes):
+    """check_reference_claims on survey_range(99) with some rows' fields replaced."""
+    return check_reference_claims(
+        dataclasses.replace(row, **changes.get(row.n, {})) for row in survey_range(99))
+
+
+class TestReferenceClaimVerdicts:
+    """Every claim both passes and fails on altered rows, with its observed text pinned."""
+
+    NINE = {51: {"coset_count": 2}}  # drops the one modulus the source did not record
+
+    CASES = [
+        ({}, "more-than-two-cosets", False, "10 moduli"),
+        (NINE, "more-than-two-cosets", True, "9 moduli"),
+        ({}, "odd-coset-count", True,
+         "odd counts at [43]; n=43 has 3 cosets, 3 self-complementary"),
+        ({31: {"coset_count": 3}}, "odd-coset-count", False,
+         "odd counts at [31, 43]; n=43 has 3 cosets, 3 self-complementary"),
+        ({43: {"self_complementary_count": 1}}, "odd-coset-count", False,
+         "odd counts at [43]; n=43 has 3 cosets, 1 self-complementary"),
+        ({43: {"coset_count": 4}}, "odd-coset-count", False,
+         "odd counts at []; n=43 has 4 cosets, 3 self-complementary"),
+        ({}, "even-counts-max-8", True, "parities all even, maximum 8"),
+        ({31: {"coset_count": 5}}, "even-counts-max-8", False, "parities mixed, maximum 8"),
+        ({n: {"coset_count": 6} for n in (73, 85, 89)}, "even-counts-max-8", False,
+         "parities all even, maximum 6"),
+        ({n: {"coset_count": 2} for n in MODULI_WITH_MANY_COSETS if n != 43},
+         "even-counts-max-8", False, "parities all even, maximum 0"),
+        ({}, "order-equals-totient", True, "16 moduli"),
+        ({3: {"nu": 1}}, "order-equals-totient", False, "15 moduli"),
+        ({}, "order-equals-totient-prime-power", True, "all prime powers"),
+        ({9: {"is_prime_power": False}, 25: {"is_prime_power": False}},
+         "order-equals-totient-prime-power", False, "exceptions [9, 25]"),
+        ({15: {"nu": 8}}, "order-equals-totient-prime-power", False, "exceptions [15]"),
+    ]
+
+    @pytest.mark.parametrize("changes, key, passed, observed", CASES,
+                             ids=[f"{case[1]}-{i}" for i, case in enumerate(CASES)])
+    def test_claim_verdict(self, changes, key, passed, observed):
+        (claim,) = [c for c in _altered_report(changes).claims if c.key == key]
+        assert (claim.passed, claim.observed) == (passed, observed)
+
+    def test_derived_lists_follow_the_rows(self):
+        report = _altered_report({**self.NINE, 73: {"coset_count": 6}, 15: {"nu": 8}})
+        derived = {c.key: c.derived for c in report.claims}
+        assert derived == {
+            "more-than-two-cosets": tuple(n for n in MODULI_WITH_MANY_COSETS if n != 51),
+            "odd-coset-count": (),
+            "even-counts-max-8": (85, 89),
+            "order-equals-totient": tuple(sorted((*MODULI_WITH_FULL_ORDER, 15))),
+            "order-equals-totient-prime-power": (),
+        }
+
+    def test_a_report_can_pass_in_full(self):
+        report = _altered_report(self.NINE)
+        assert report.all_passed
+        assert [c.key for c in report.claims] == [
+            "more-than-two-cosets", "odd-coset-count", "even-counts-max-8",
+            "order-equals-totient", "order-equals-totient-prime-power"]
 
 
 def test_max_b_matches_identities():
