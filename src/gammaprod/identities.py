@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _check_unit, _halving_orbit, _is_unit, _lifts,
+from .residues import (OddModulus, _check_unit, _halving_orbit, _index, _is_unit, _lifts,
                        _walkable_mask, coset_decomposition)
 
 __all__ = [
@@ -86,7 +86,7 @@ def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> Gamm
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: its lifted _halving_orbit, bounded by _MAX_WALK."""
     n = OddModulus(n)
-    _check_unit(x, 2 * n)
+    x = _check_unit(x, 2 * n)
     vertices = _halving_orbit(int(n), x % n)
     return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
 
@@ -131,7 +131,7 @@ def _coset_fault(m: int, given: list, elems: list[int], nu: int | None) -> str:
         return f"coset has repeated elements: {elems}"
     for x in elems:
         if not _is_unit(x, m):
-            return f"{x} is not a unit modulo {m}"
+            return f"{x} is not a unit in (0, {m})"
     if nu is None:
         return f"{elems} is not closed under multiplication by {m // 2 + 2} mod {m}"
     return f"{elems} is a union of cosets, not a single coset of size {nu}"
@@ -171,6 +171,7 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
     The coset of 1 is {1} together with {2**k + n : 1 <= k < m}, giving
     nu = m and b = m - 1 (every element except 1 exceeds n).
     """
+    m = _index(m)
     if m <= 1:
         raise DomainError(f"exponent must be > 1, got {m}")
     if m > _MAX_MERSENNE:  # refused before the m lifts of m bits each are built

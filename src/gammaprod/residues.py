@@ -43,6 +43,14 @@ def _integer(n) -> int:
         raise InvalidModulusError(f"modulus must be an integer, got {n!r}") from exc
 
 
+def _index(x) -> int:
+    """x as an int, or DomainError naming it: the reading of every integer but a modulus."""
+    try:
+        return operator.index(x)
+    except TypeError as exc:
+        raise DomainError(f"{x!r} is not an integer") from exc
+
+
 class OddModulus(int):
     """An odd integer modulus n > 1; construction enforces the domain."""
 
@@ -105,7 +113,7 @@ class CosetDecomposition:
         return len(self.cosets)
 
     def coset_containing(self, x: int) -> tuple[int, ...]:
-        _check_unit(x, 2 * self.n)
+        x = _check_unit(x, 2 * self.n)
         for coset in self.cosets:
             if x in coset:
                 return coset
@@ -154,6 +162,7 @@ def _unit_mask(m: int) -> bytearray:
 
 def units_mod(m: int) -> UnitGroup:
     """All residues in (0, m) coprime to m, read off the unit mask."""
+    m = _integer(m)
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
     if m > 2 * _MAX_WALK:
@@ -171,10 +180,7 @@ def multiplicative_order(g: int, m: int) -> int:
     m = _integer(m)
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-    try:
-        g = operator.index(g) % m
-    except TypeError as exc:
-        raise DomainError(f"{g!r} is not an integer") from exc
+    g = _index(g) % m
     if not _is_unit(g, m):
         raise NotAUnitError(f"{g} is not a unit modulo {m}")
     acc = g
@@ -186,9 +192,12 @@ def multiplicative_order(g: int, m: int) -> int:
                       f"the limit is {2 * _MAX_WALK}")
 
 
-def _check_unit(y: int, n: int) -> None:
+def _check_unit(y: int, n: int) -> int:
+    """y as an int, or DomainError unless it is an integer and a unit in (0, n)."""
+    y = _index(y)
     if not _is_unit(y, n):
         raise DomainError(f"{y} is not a unit in (0, {n})")
+    return y
 
 
 def odd_lift(y: int, n: int) -> int:
@@ -198,21 +207,21 @@ def odd_lift(y: int, n: int) -> int:
     inverse is odd_lift_inverse.
     """
     n = OddModulus(n)
-    _check_unit(y, n)
+    y = _check_unit(y, n)
     return y if y % 2 else y + n
 
 
 def odd_lift_inverse(x: int, n: int) -> int:
     """Send an odd unit mod 2n back to its representative in (0, n)."""
     n = OddModulus(n)
-    _check_unit(x, 2 * n)
+    x = _check_unit(x, 2 * n)
     return x if x < n else x - n
 
 
 def halve_mod(y: int, n: int) -> int:
     """Halve a unit mod odd n: the unique unit z with 2*z congruent to y."""
     n = OddModulus(n)
-    _check_unit(y, n)
+    y = _check_unit(y, n)
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
 

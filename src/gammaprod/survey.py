@@ -6,7 +6,8 @@ from itertools import compress
 from typing import Iterable
 
 from .errors import DomainError
-from .residues import OddModulus, _distinct_primes, _halving_walk, _integer, _walkable_mask
+from .residues import (OddModulus, _distinct_primes, _halving_walk, _index, _integer,
+                       _walkable_mask)
 
 __all__ = [
     "SurveyRow",
@@ -106,6 +107,7 @@ _MAX_SWEEP = 10**5
 
 def _odd_moduli(what: str, max_n: int) -> range:
     """The odd n in [3, max_n] of a sweep; a max_n outside [3, _MAX_SWEEP] is refused at once."""
+    max_n = _index(max_n)
     if max_n < 3:
         raise DomainError(f"{what} range must reach at least 3, got {max_n}")
     if max_n > _MAX_SWEEP:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
     Rhs,
@@ -50,12 +52,12 @@ class TestBuildIdentity:
         ([], "empty coset"),
         ([1, 9], "not closed"),
         ([1, 9, 9, 11], "repeated"),
-        ([1, 2, 11], "2 is not a unit modulo 14"),
-        ([1, 9, 25], "25 is not a unit modulo 14"),  # out of range
+        ([1, 2, 11], re.escape("2 is not a unit in (0, 14)")),
+        ([1, 9, 25], re.escape("25 is not a unit in (0, 14)")),  # out of range
         ([3, 5, 11], "not closed"),  # wrong orbit mix
         ([1, 3, 5, 9, 11, 13], "union of cosets"),  # both cosets: closed but too big
-        ([1, 7, 9, 11], "7 is not a unit modulo 14"),  # closed: the orbit of 1 and of 7
-        ([0, 1, 9, 11], "0 is not a unit modulo 14"),  # closed, led by a non-unit
+        ([1, 7, 9, 11], re.escape("7 is not a unit in (0, 14)")),  # closed: the orbit of 1 and of 7
+        ([0, 1, 9, 11], re.escape("0 is not a unit in (0, 14)")),  # closed, led by a non-unit
     ]
 
     @pytest.mark.parametrize("coset, match", NON_COSETS,
@@ -67,6 +69,79 @@ class TestBuildIdentity:
     def test_rejects_even_modulus(self):
         with pytest.raises(InvalidModulusError):
             build_identity(8, [1, 3])
+
+
+def reference_fault(n, given):
+    """The refusal build_identity should give, worked out the long way; None for a coset.
+
+    Faults are named in the documented order: a non-integer, no element, a
+    repeat, a non-unit, no closure under n+2, and last a closed set that is a
+    union of cosets.  Acceptance is membership in coset_decomposition(n).
+    """
+    m = 2 * n
+    for x in given:
+        if not isinstance(x, int):
+            return f"{x!r} is not an integer"
+    elems = sorted(given)
+    if not elems:
+        return "empty coset"
+    if len(set(elems)) != len(elems):
+        return f"coset has repeated elements: {elems}"
+    for x in elems:
+        if not 0 < x < m or math.gcd(x, m) != 1:
+            return f"{x} is not a unit in (0, {m})"
+    if any(x * (n + 2) % m not in elems for x in elems):
+        return f"{elems} is not closed under multiplication by {n + 2} mod {m}"
+    if tuple(elems) in coset_decomposition(n).cosets:
+        return None
+    nu = next(k for k in range(1, m) if pow(n + 2, k, m) == 1)
+    return f"{elems} is a union of cosets, not a single coset of size {nu}"
+
+
+def assert_decides_like_the_reference(n, given):
+    fault = reference_fault(n, given)
+    if fault is None:
+        identity = build_identity(n, given)
+        assert identity.coset == tuple(sorted(given))
+        assert identity == enumerate_identities(n)[
+            coset_decomposition(n).cosets.index(identity.coset)]
+    else:
+        with pytest.raises(InvalidCosetError) as refusal:
+            build_identity(n, given)
+        assert str(refusal.value) == fault
+
+
+@st.composite
+def proposals(draw):
+    """An odd n < 60 and a list built from its cosets: a union of some, with
+    members dropped, repeats, out-of-range values and non-integers mixed in."""
+    n = draw(st.integers(min_value=1, max_value=29).map(lambda k: 2 * k + 1))
+    m = 2 * n
+    cosets = coset_decomposition(n).cosets
+    chosen = draw(st.lists(st.sampled_from(cosets), max_size=3, unique=True))
+    elems = [x for coset in chosen for x in coset]
+    keep = draw(st.lists(st.booleans(), min_size=len(elems), max_size=len(elems)))
+    if not all(keep) and draw(st.booleans()):
+        elems = [x for x, k in zip(elems, keep) if k]
+    extras = st.one_of(st.integers(min_value=-m, max_value=3 * m),
+                       st.sampled_from([1.0, 2.5, "1", None]))
+    if elems:
+        extras = st.one_of(extras, st.sampled_from(elems))  # a repeat
+    elems += draw(st.lists(extras, max_size=3 if draw(st.booleans()) else 0))
+    return n, draw(st.permutations(elems))
+
+
+class TestDecision:
+    """build_identity accepts exactly the cosets, and names the first fault of anything else."""
+
+    def test_every_subset_at_7(self):
+        for bits in range(1 << 15):
+            assert_decides_like_the_reference(7, [x for x in range(15) if bits >> x & 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(proposals())
+    def test_sampled_lists_below_60(self, proposal):
+        assert_decides_like_the_reference(*proposal)
 
 
 class TestIntegerElements:
@@ -190,6 +265,20 @@ class TestMersenne:
             assert build_identity(n, identity.coset) == identity
             if m < 17:
                 assert identity.coset == coset_decomposition(n).cosets[0]
+
+    def test_reads_a_numpy_exponent_as_a_python_int(self):
+        np = pytest.importorskip("numpy")
+        # in int64, 1 << 70 wraps and the modulus came out as -1
+        assert mersenne_identity(np.int64(70)) == mersenne_identity(70)
+        assert mersenne_identity(np.int8(5)) == mersenne_identity(5)
+
+    def test_reads_any_index_type(self):
+        assert mersenne_identity(TestIntegerElements.Index(5)) == mersenne_identity(5)
+
+    @pytest.mark.parametrize("m, name", [(3.0, "3.0"), ("3", "'3'"), (None, "None")])
+    def test_refuses_a_non_integer_exponent(self, m, name):
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} is not an integer$"):
+            mersenne_identity(m)
 
     @pytest.mark.parametrize("m", [1, 0, -3])
     def test_rejects_small_exponent(self, m):

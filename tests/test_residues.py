@@ -286,6 +286,48 @@ class TestHalveMod:
             halve_mod(5, 15)
 
 
+class TestIntegerArguments:
+    """Every entry reads its integers through __index__ as Python ints, so no
+    result carries a numpy type and a non-integer is refused by name."""
+
+    UNIT_ENTRIES = {
+        "halve_mod": lambda y: halve_mod(y, 7),
+        "odd_lift": lambda y: odd_lift(y, 7),
+        "odd_lift_inverse": lambda x: odd_lift_inverse(x, 7),
+        "coset_containing": lambda x: coset_decomposition(7).coset_containing(x),
+    }
+    AT_3 = {"halve_mod": 5, "odd_lift": 3, "odd_lift_inverse": 3,
+            "coset_containing": (3, 5, 13)}
+
+    @pytest.mark.parametrize("entry", ["halve_mod", "odd_lift", "odd_lift_inverse"])
+    def test_reads_numpy_integers_as_python_ints(self, entry):
+        np = pytest.importorskip("numpy")
+        for x in (np.int8(3), np.int64(3)):
+            result = self.UNIT_ENTRIES[entry](x)
+            assert result == self.AT_3[entry] and type(result) is int
+
+    @pytest.mark.parametrize("entry", UNIT_ENTRIES)
+    def test_reads_any_index_type(self, entry):
+        assert self.UNIT_ENTRIES[entry](Index(3)) == self.AT_3[entry]
+
+    @pytest.mark.parametrize("entry", UNIT_ENTRIES)
+    @pytest.mark.parametrize("x, name", [(3.0, "3.0"), ("3", "'3'"), (None, "None")])
+    def test_refuses_a_non_integer_by_name(self, entry, x, name):
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} is not an integer$"):
+            self.UNIT_ENTRIES[entry](x)
+
+    def test_units_mod_reads_its_modulus_as_a_python_int(self):
+        np = pytest.importorskip("numpy")
+        for m in (np.int64(14), Index(14)):
+            group = units_mod(m)
+            assert type(group.modulus) is int and group == units_mod(14)
+
+    @pytest.mark.parametrize("m", [7.5, 14.0, "14"])
+    def test_units_mod_refuses_a_non_integer_modulus(self, m):
+        with pytest.raises(InvalidModulusError, match=f"^modulus must be an integer, got {m!r}$"):
+            units_mod(m)
+
+
 class TestHalvingCycles:
     def test_n3(self):
         (cycle,) = halving_cycles(3)

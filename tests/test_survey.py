@@ -1,6 +1,7 @@
 """Survey rows and the recorded n < 100 reference counts."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,18 @@ class TestSurveyRange:
     def test_single_row_range(self):
         rows = survey_range(3)
         assert len(rows) == 1 and rows[0].n == 3
+
+    def test_reads_any_index_type(self):
+        class Index:
+            def __index__(self):
+                return 9
+
+        assert survey_range(Index()) == survey_range(9)
+
+    @pytest.mark.parametrize("max_n, name", [(99.5, "99.5"), (99.0, "99.0"), ("99", "'99'")])
+    def test_refuses_a_non_integer_bound(self, max_n, name):
+        with pytest.raises(DomainError, match=f"^{re.escape(name)} is not an integer$"):
+            survey_range(max_n)
 
     @pytest.mark.parametrize("bad", [2, 1, 0, -9])
     def test_rejects_short_range(self, bad):
@@ -210,7 +223,6 @@ class TestReferenceClaimVerdicts:
     NINE = {51: {"coset_count": 2}}  # drops the one modulus the source did not record
 
     CASES = [
-        ({}, "more-than-two-cosets", False, "10 moduli"),
         (NINE, "more-than-two-cosets", True, "9 moduli"),
         ({}, "odd-coset-count", True,
          "odd counts at [43]; n=43 has 3 cosets, 3 self-complementary"),
