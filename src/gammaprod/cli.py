@@ -206,7 +206,3 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

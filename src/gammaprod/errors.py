@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a GammaprodError, so a
+ValueError, and NotAUnitError is the DomainError of a non-unit."""
 
 __all__ = ["GammaprodError", "InvalidModulusError", "NotAUnitError", "DomainError",
            "InvalidCosetError"]
@@ -12,12 +13,12 @@ class InvalidModulusError(GammaprodError):
     """Modulus outside the supported domain (even, too small, ...)."""
 
 
-class NotAUnitError(GammaprodError):
-    """Element is not invertible modulo the given modulus."""
-
-
 class DomainError(GammaprodError):
     """Argument outside an operation's domain."""
+
+
+class NotAUnitError(DomainError):
+    """Element is no unit representative in (0, m); a DomainError like any other."""
 
 
 class InvalidCosetError(GammaprodError):

@@ -180,9 +180,7 @@ def multiplicative_order(g: int, m: int) -> int:
     m = _integer(m)
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-    g = _index(g) % m
-    if not _is_unit(g, m):
-        raise NotAUnitError(f"{g} is not a unit modulo {m}")
+    g = _check_unit(_index(g) % m, m)
     acc = g
     for k in range(1, 2 * _MAX_WALK + 1):
         if acc == 1:
@@ -193,10 +191,11 @@ def multiplicative_order(g: int, m: int) -> int:
 
 
 def _check_unit(y: int, n: int) -> int:
-    """y as an int, or DomainError unless it is an integer and a unit in (0, n)."""
+    """y as an int, and the one refusal of a non-unit: DomainError unless y is
+    an integer, its subclass NotAUnitError unless y is a unit in (0, n)."""
     y = _index(y)
     if not _is_unit(y, n):
-        raise DomainError(f"{y} is not a unit in (0, {n})")
+        raise NotAUnitError(f"{y} is not a unit in (0, {n})")
     return y
 
 

@@ -3,6 +3,7 @@ counts for n < 100 and an honest checker for them."""
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DomainError
@@ -67,9 +68,11 @@ def survey_row(n: int) -> SurveyRow:
     a doubling step that wraps past n, that is an odd vertex of C, so
     sum(C)/n is the block's popcount.  Every cycle's smallest vertex is odd
     (an even v has v/2 on its cycle) and below n/2 (a v > n/2 has 2v - n),
-    so the odd units below n/2 reach every coset.  Such a scan costs O(nu)
-    bigint work per unit and the walk O(1), so cosets of nu below
-    _SCAN_BELOW_NU are scanned and longer ones walked.
+    so the odd units below n/2 reach every coset.  The scan and the walk
+    differ only in the representatives whose popcounts they take: the scan
+    all those units, at O(nu) bigint work each, the walk each cycle's least
+    vertex, at O(1) per step, so cosets of nu below _SCAN_BELOW_NU are
+    scanned and longer ones walked.
     """
     n = OddModulus(n)
     mask = _walkable_mask(n)
@@ -77,12 +80,12 @@ def survey_row(n: int) -> SurveyRow:
     phi = mask.count(1)
     p = mask.find(0, 1)  # n's least prime, or -1 when n is prime; read before a walk clears mask
     nu = _order_of_two(n, phi)
+    block, half = ((1 << nu) - 1) // n, n // 2 + 1
     if nu < _SCAN_BELOW_NU:
-        block, half = ((1 << nu) - 1) // n, n // 2 + 1
-        odd_units = compress(range(1, half, 2), mask[1:half:2])
-        low = min(map(int.bit_count, map(block.__mul__, odd_units)))
+        reps = compress(range(1, half, 2), mask[1:half:2])
     else:
-        low = min(map(sum, _halving_walk(mask))) // n
+        reps = map(itemgetter(0), _halving_walk(mask))  # holds no cycle while the next is walked
+    low = min(map(int.bit_count, map(block.__mul__, reps)))
     coset_count = phi // nu
     # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
     # none.  -1 can only be 2**(nu/2), the element of order 2 of the cyclic
@@ -151,15 +154,15 @@ class ClaimReport:
 def check_reference_claims(rows: Iterable[SurveyRow]) -> ClaimReport:
     """Evaluate the recorded n < 100 statistics against an actual survey.
 
-    rows must cover every odd n in [3, 99]; rows outside that window are
-    ignored.  Each recorded count is checked as stated and reported with
-    the computed value, pass or fail.
+    rows must cover every odd n in [3, 99]; any other row, an even n or an
+    n past the window, is ignored.  Each recorded count is checked as
+    stated and reported with the computed value, pass or fail.
     """
-    by_n = {row.n: row for row in rows if 3 <= row.n <= 99}
+    by_n = {row.n: row for row in rows}
     missing = [n for n in range(3, 100, 2) if n not in by_n]
     if missing:
         raise DomainError(f"rows must cover all odd n in [3, 99]; missing {missing}")
-    surveyed = [by_n[n] for n in sorted(by_n)]
+    surveyed = [by_n[n] for n in range(3, 100, 2)]
     many = [row for row in surveyed if row.coset_count > 2]
     odd_counts = [row.n for row in many if row.coset_count % 2 == 1]
     row43 = by_n[43]

@@ -84,9 +84,7 @@ class VerificationReport:
 
 def _check_tolerance(tol: float) -> None:
     """Refuse an explicit tolerance that is not positive and finite."""
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if not math.isfinite(tol):
+    if not 0 < tol < math.inf:  # nan fails the comparison too
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
@@ -101,6 +99,8 @@ def _residual_report(n: int, xs, rhs_terms: list[float],
                               f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
     else:
         _check_tolerance(tol)
+    if not xs:  # only a hand-built record: min would raise a bare ValueError
+        raise DomainError(f"the coset at n={n} is empty; there is nothing to check")
     coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
     if not (0 < coset_min and max(xs) < m):  # one range check stands in for log_gamma's
         log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)

@@ -196,8 +196,10 @@ class TestMultiplicativeOrder:
         assert multiplicative_order(1, 99) == 1
 
     def test_rejects_non_unit(self):
-        with pytest.raises(NotAUnitError):
-            multiplicative_order(6, 14)
+        message = f"^{re.escape('6 is not a unit in (0, 14)')}$"
+        for g in (6, 20):  # 20 is read as 6 mod 14
+            with pytest.raises(NotAUnitError, match=message):
+                multiplicative_order(g, 14)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidModulusError):
@@ -284,6 +286,23 @@ class TestHalveMod:
     def test_rejects_non_unit(self):
         with pytest.raises(DomainError):
             halve_mod(5, 15)
+
+
+class TestNotAUnit:
+    """_check_unit is the one refusal of a non-unit: NotAUnitError, which
+    every caller that catches DomainError still catches."""
+
+    def test_is_a_domain_error(self):
+        assert issubclass(NotAUnitError, DomainError)
+
+    @pytest.mark.parametrize("refused", [
+        lambda: odd_lift(0, 7),
+        lambda: halve_mod(7, 7),
+        lambda: coset_decomposition(9).coset_containing(3),
+    ])
+    def test_every_unit_entry_raises_it(self, refused):
+        with pytest.raises(NotAUnitError):
+            refused()
 
 
 class TestIntegerArguments:

@@ -203,6 +203,10 @@ class TestReferenceClaims:
         wide = check_reference_claims(survey_range(149))
         base = check_reference_claims(survey_range(99))
         assert wide == base
+        # an even n inside the window and an odd n past it are no odd n < 100
+        even = dataclasses.replace(survey_row(3), n=4, coset_count=3)
+        beyond = survey_row(101)
+        assert check_reference_claims(survey_range(99) + (even, beyond)) == base
 
     def test_requires_full_coverage(self):
         with pytest.raises(DomainError):

@@ -208,8 +208,8 @@ class TestExplicitTolerance:
     @pytest.mark.parametrize("tol, message", [
         (math.inf, "tolerance must be positive and finite, got inf"),
         (math.nan, "tolerance must be positive and finite, got nan"),
-        (0, "tolerance must be positive, got 0"),
-        (-1e-9, "tolerance must be positive, got -1e-09"),
+        (0, "tolerance must be positive and finite, got 0"),
+        (-1e-9, "tolerance must be positive and finite, got -1e-09"),
     ])
     def test_refused_by_both_verifiers(self, tol, message):
         wrong = dataclasses.replace(build_identity(7, [1, 9, 11]), b=7)  # b off by 5
@@ -222,6 +222,14 @@ class TestExplicitTolerance:
         identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(0, 9, 11))
         with pytest.raises(DomainError, match="tolerance must be positive"):
             verify_identity(identity, math.nan)
+
+
+class TestEmptyRecord:
+    @pytest.mark.parametrize("tol", [None, 1e-9])
+    def test_an_empty_coset_is_refused(self, tol):
+        empty = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=())
+        with pytest.raises(DomainError, match=r"^the coset at n=7 is empty"):
+            verify_identity(empty, tol)
 
 
 class TestVerifyFullProduct:
