@@ -191,6 +191,11 @@ def _cmd_full_product(args) -> int:
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse argv, run the subcommand, return the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like -1e-9 or -inf for an option, so --tol gets it joined
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--tol" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

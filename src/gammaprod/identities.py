@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
 from .residues import (OddModulus, _check_unit, _halving_orbit, _index, _is_unit, _lifts,
-                       _walkable_mask, coset_decomposition)
+                       _order_of_two, _walkable_mask, coset_decomposition)
 
 __all__ = [
     "Rhs",
@@ -96,8 +96,11 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
 
     The elements must be distinct units mod 2n, closed under multiplication
     by n+2, and exactly one coset in size; anything else raises
-    InvalidCosetError.  Input order does not matter, the stored coset is
-    ascending, and any integer type (numpy's, bool) is stored as a Python int.
+    InvalidCosetError.  The size is checked against the order of 2 mod n, with
+    no orbit walked, so any odd n is taken; a closed set led by a unit and of
+    more than _MAX_WALK elements raises DomainError naming its size instead.
+    Input order does not matter, the stored coset is ascending, and any
+    integer type (numpy's, bool) is stored as a Python int.
     """
     n = OddModulus(n)
     m, g = 2 * n, int(n) + 2
@@ -106,12 +109,11 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
         elems = sorted(map(operator.index, given))
     except TypeError:
         elems = []
-    # A closed set holds the orbit of its least element, a coset when that
-    # element is a unit.  A closed set of that orbit's size is the orbit, so
-    # its elements are distinct units and nothing else needs a check.
+    # A closed set holds its least element's coset, of ord_n(2) elements, when that element
+    # is a unit; so it is that coset when 2**size == 1 and _order_of_two keeps the size.
     nu = None  # stays None unless the set is closed
     if (elems and _is_unit(elems[0], m) and {x * g % m for x in elems} == set(elems)
-            and len(elems) == (nu := len(_halving_orbit(int(n), elems[0] % n)))):
+            and len(elems) == (nu := _order_of_two(int(n), len(elems))) and pow(2, nu, n) == 1):
         return _identity_from_coset(n, tuple(elems), nu)
     raise InvalidCosetError(_coset_fault(m, given, elems, nu))
 

@@ -9,7 +9,8 @@ Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus.  units_mod reads its units
 off it, and the halving walk consumes the mask its caller sieved, clearing
 each cycle's vertices as it goes.  _halving_orbit is the one cycle walk;
-every halving cycle and coset is read off it.
+every halving cycle and coset is read off it.  _order_of_two is the one order
+routine of 2: survey_row and build_identity size cosets by it, walking none.
 """
 
 import itertools
@@ -80,6 +81,11 @@ class UnitGroup:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
+        """x in self.elements, answered for an integer by one gcd."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            return x in self.elements
         return _is_unit(x, self.modulus)
 
 
@@ -188,6 +194,17 @@ def multiplicative_order(g: int, m: int) -> int:
         acc = acc * g % m
     raise DomainError(f"the order of {g} modulo {m} is too large to find; "
                       f"the limit is {2 * _MAX_WALK}")
+
+
+def _order_of_two(n: int, k: int) -> int:
+    """ord_n(2), odd n, from any multiple k of it; where 2**k is not 1 mod n, no prime
+    of k can be stripped, so k comes back.  A k past _MAX_WALK is refused as a size."""
+    if k > _MAX_WALK:
+        raise DomainError(f"a set of {k} elements is too large; the limit is {_MAX_WALK} elements")
+    for q in _distinct_primes(k):
+        while k % q == 0 and pow(2, k // q, n) == 1:
+            k //= q
+    return k
 
 
 def _check_unit(y: int, n: int) -> int:

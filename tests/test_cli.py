@@ -160,6 +160,15 @@ class TestVerify:
         monkeypatch.setattr(residues, "_MAX_WALK", 61)
         assert run_cli(["verify", str(2**61 - 1), "--coset-of", "1"]) == 0
 
+    @pytest.mark.parametrize("tol", ["-1e-9", "-inf", "-0.5", "nan"])
+    def test_a_tolerance_reads_alike_with_a_space_or_an_equals_sign(self, tol, capsys):
+        # argparse would take -1e-9 and -inf for option names after a space
+        assert run_cli(["verify", "7", f"--tol={tol}"]) == 2
+        joined = capsys.readouterr()
+        assert run_cli(["verify", "7", "--tol", tol]) == 2
+        assert capsys.readouterr() == joined
+        assert joined.err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
+
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
     def test_non_positive_tolerance_is_domain_error(self, tol, capsys):
         # nan would fail every check and inf would pass a wrong b

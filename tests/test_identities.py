@@ -20,6 +20,7 @@ from gammaprod import (
     render_identity,
     units_mod,
 )
+from gammaprod import identities, residues
 from gammaprod.errors import DomainError, InvalidCosetError, InvalidModulusError
 
 
@@ -142,6 +143,44 @@ class TestDecision:
     @given(proposals())
     def test_sampled_lists_below_60(self, proposal):
         assert_decides_like_the_reference(*proposal)
+
+
+class TestSizedByTheOrderOfTwo:
+    """build_identity sizes a closed set by the order of 2 and walks no orbit."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def walk(n, y):
+            raise AssertionError(f"build_identity walked the orbit of {y} mod {n}")
+        monkeypatch.setattr(identities, "_halving_orbit", walk)
+
+    def test_every_subset_at_7(self, no_walk):
+        for bits in range(1 << 15):
+            assert_decides_like_the_reference(7, [x for x in range(15) if bits >> x & 1])
+
+    def test_the_mersenne_coset_at_2_127_minus_1(self, no_walk):
+        n = 2**127 - 1
+        identity = build_identity(n, [1] + [2**k + n for k in range(1, 127)])
+        assert (identity.nu, identity.b) == (127, 126)
+
+    def test_a_closed_set_past_the_walk_bound_is_refused_by_its_size(self, monkeypatch):
+        coset = [1, 33, 35, 39, 47]
+        union = coset + [3, 17, 37, 43, 55]
+        monkeypatch.setattr(residues, "_MAX_WALK", 5)
+        assert build_identity(31, coset).nu == 5
+        with pytest.raises(DomainError,
+                           match="^a set of 10 elements is too large; the limit is 5 elements$"):
+            build_identity(31, union)
+        with pytest.raises(InvalidCosetError, match="not closed"):  # refused before it is sized
+            build_identity(31, union[:-1])
+        monkeypatch.setattr(residues, "_MAX_WALK", 4)
+        with pytest.raises(DomainError,
+                           match="^a set of 5 elements is too large; the limit is 4 elements$"):
+            build_identity(31, coset)
+        monkeypatch.setattr(residues, "_MAX_WALK", 10)
+        with pytest.raises(InvalidCosetError,
+                           match="is a union of cosets, not a single coset of size 5$"):
+            build_identity(31, union)
 
 
 class TestIntegerElements:

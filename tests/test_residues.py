@@ -173,6 +173,16 @@ class TestUnitsMod:
         group = units_mod(14)
         assert 9 in group and 7 not in group and 0 not in group and 15 not in group
 
+    @pytest.mark.parametrize("x, member", [(3.0, True), (9.0, True), (7.0, False), (3.5, False),
+                                           ("3", False), (None, False)])
+    def test_membership_of_a_non_integer_is_membership_of_elements(self, x, member):
+        group = units_mod(14)
+        assert (x in group) is member is (x in group.elements)
+
+    def test_membership_reads_an_integer_through_index(self):
+        group = units_mod(14)
+        assert True in group and Index(9) in group and Index(7) not in group
+
     @pytest.mark.parametrize("bad", [1, 0, -5])
     def test_rejects_small(self, bad):
         with pytest.raises(InvalidModulusError):
@@ -233,6 +243,27 @@ class TestMultiplicativeOrder:
             multiplicative_order(2, 2047)  # order 11
         with pytest.raises(DomainError, match="the limit is 10"):
             multiplicative_order(3, 2**61 - 1)
+
+
+class TestOrderOfTwo:
+    def test_a_multiple_it_keeps_is_the_order(self):
+        # 2**k == 1 and no prime stripped from k: exactly the order, so a closed
+        # set of that size is one coset
+        for n in range(3, 300, 2):
+            order = multiplicative_order(2, n)
+            for k in range(1, 2 * len(units_mod(n)) + 1):
+                kept = pow(2, k, n) == 1 and residues._order_of_two(n, k) == k
+                assert kept == (k == order), (n, k)
+
+    def test_a_k_with_two_to_the_k_not_one_comes_back(self):
+        assert residues._order_of_two(7, 4) == 4 and residues._order_of_two(31, 12) == 12
+
+    def test_refuses_a_size_past_the_walk_bound(self, monkeypatch):
+        monkeypatch.setattr(residues, "_MAX_WALK", 10)
+        assert residues._order_of_two(31, 10) == 5
+        with pytest.raises(DomainError,
+                           match="^a set of 11 elements is too large; the limit is 10 elements$"):
+            residues._order_of_two(31, 11)
 
 
 class TestOddLift:

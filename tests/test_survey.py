@@ -208,6 +208,19 @@ class TestReferenceClaims:
         beyond = survey_row(101)
         assert check_reference_claims(survey_range(99) + (even, beyond)) == base
 
+    def test_a_repeated_n_in_the_window_is_refused(self):
+        rows = survey_range(99)
+        twin = dataclasses.replace(survey_row(43), coset_count=5)
+        for extra in [(twin,), (rows[20],), (twin, rows[0], rows[0])]:
+            with pytest.raises(DomainError, match=re.escape("once; repeated [")) as refusal:
+                check_reference_claims(rows + extra)
+            assert str(refusal.value).endswith(str(sorted({row.n for row in extra})))
+        # a repeat outside the window is ignored like any row there
+        even = dataclasses.replace(survey_row(3), n=4, coset_count=3)
+        beyond = survey_row(101)
+        assert (check_reference_claims(rows + (even, even, beyond, beyond))
+                == check_reference_claims(rows))
+
     def test_requires_full_coverage(self):
         with pytest.raises(DomainError):
             check_reference_claims(survey_range(97))
@@ -319,13 +332,13 @@ def _totient(n):
 
 def test_order_of_two_matches_multiplicative_order():
     for n in range(3, 3000, 2):
-        assert survey._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
+        assert residues._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=1, max_value=5 * 10**6 - 1).map(lambda k: 2 * k + 1))
 def test_order_of_two_matches_on_large_moduli(n):
-    assert survey._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
+    assert residues._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
 
 
 @pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
