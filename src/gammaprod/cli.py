@@ -184,7 +184,7 @@ def _cmd_mersenne(args) -> int:
 
 def _cmd_full_product(args) -> int:
     fp = full_product_identity(args.n)
-    m = 2 * int(fp.n)
+    m = 2 * fp.n
     print(f"prod_(x in Phi({m})) Gamma(x/{m}) = (2*pi)^{fp.pow2}")
     return 0
 

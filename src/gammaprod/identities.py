@@ -53,7 +53,7 @@ class GammaProductIdentity:
     with fields and watch the numeric verifier report honest residuals.
     """
 
-    n: OddModulus
+    n: int
     coset: tuple[int, ...]
     nu: int
     b: int
@@ -72,12 +72,12 @@ class GammaProductIdentity:
 class FullProduct:
     """Product of Gamma(x/2n) over every unit x mod 2n: equals (2*pi)**pow2."""
 
-    n: OddModulus
+    n: int
     pow2: int
     pi_half_units: int
 
 
-def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> GammaProductIdentity:
+def _identity_from_coset(n: int, coset: tuple[int, ...], nu: int) -> GammaProductIdentity:
     """The record of an ascending coset: b counts its elements above n by bisection."""
     return GammaProductIdentity(n=n, coset=coset, nu=nu,
                                 b=len(coset) - bisect.bisect_right(coset, n))
@@ -85,10 +85,10 @@ def _identity_from_coset(n: OddModulus, coset: tuple[int, ...], nu: int) -> Gamm
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: its lifted _halving_orbit, bounded by _MAX_WALK."""
-    n = OddModulus(n)
+    n = int(OddModulus(n))
     x = _check_unit(x, 2 * n)
-    vertices = _halving_orbit(int(n), x % n)
-    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, int(n)))), len(vertices))
+    vertices = _halving_orbit(n, x % n)
+    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, n))), len(vertices))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
@@ -102,8 +102,8 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     Input order does not matter, the stored coset is ascending, and any
     integer type (numpy's, bool) is stored as a Python int.
     """
-    n = OddModulus(n)
-    m, g = 2 * n, int(n) + 2
+    n = int(OddModulus(n))
+    m, g = 2 * n, n + 2
     given = list(coset)
     try:
         elems = sorted(map(operator.index, given))
@@ -113,7 +113,7 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     # is a unit; so it is that coset when 2**size == 1 and _order_of_two keeps the size.
     nu = None  # stays None unless the set is closed
     if (elems and _is_unit(elems[0], m) and {x * g % m for x in elems} == set(elems)
-            and len(elems) == (nu := _order_of_two(int(n), len(elems))) and pow(2, nu, n) == 1):
+            and len(elems) == (nu := _order_of_two(n, len(elems))) and pow(2, nu, n) == 1):
         return _identity_from_coset(n, tuple(elems), nu)
     raise InvalidCosetError(_coset_fault(m, given, elems, nu))
 
@@ -187,6 +187,6 @@ def full_product_identity(n: int) -> FullProduct:
     phi is read off the unit mask mod n; that the cosets' powers of two sum
     to half of it is a theorem the tests pin.
     """
-    n = OddModulus(n)
+    n = int(OddModulus(n))
     phi = _walkable_mask(n).count(1)
     return FullProduct(n=n, pow2=phi // 2, pi_half_units=phi)

@@ -55,7 +55,7 @@ def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
 
 def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return json.dumps({
-        "n": int(identity.n),
+        "n": identity.n,
         "modulus": identity.modulus,
         "coset": list(identity.coset),
         "nu": identity.nu,
@@ -77,4 +77,5 @@ def render_identity(identity: GammaProductIdentity, fmt: str = "text",
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    fmt = FORMATS[FORMATS.index(fmt)]  # the table's str, not the caller's str subclass
     return RenderedIdentity(format=fmt, payload=_RENDERERS[fmt](identity, ascii_symbols))

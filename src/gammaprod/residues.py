@@ -53,7 +53,8 @@ def _index(x) -> int:
 
 
 class OddModulus(int):
-    """An odd integer modulus n > 1; construction enforces the domain."""
+    """An odd integer modulus n > 1; construction enforces the domain.  Entries
+    validate with it and read n = int(OddModulus(n)), so records hold a plain int."""
 
     def __new__(cls, n: int) -> "OddModulus":
         n = _integer(n)
@@ -110,7 +111,7 @@ class HalvingCycle:
 class CosetDecomposition:
     """Partition of the units mod 2n into cosets of the subgroup <n+2>."""
 
-    n: OddModulus
+    n: int
     nu: int
     cosets: tuple[tuple[int, ...], ...]
 
@@ -259,7 +260,7 @@ def _walkable_mask(n: int) -> bytearray:
     """The unit mask of an n the walk accepts: n > _MAX_WALK raises DomainError first."""
     if n > _MAX_WALK:
         raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
-    return _unit_mask(int(n))
+    return _unit_mask(n)
 
 
 def _halving_walk(todo: bytearray) -> Iterator[list[int]]:
@@ -294,8 +295,8 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     with it.  The labels are the odd lifts of the vertices; their sets are
     exactly the cosets of coset_decomposition(n).
     """
-    n = OddModulus(n)
-    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, int(n))))
+    n = int(OddModulus(n))
+    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, n)))
                  for vertices in _halving_walk(_walkable_mask(n)))
 
 
@@ -309,10 +310,10 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     are ascending internally and ordered by smallest element, so the
     subgroup itself comes first.
     """
-    n = OddModulus(n)
+    n = int(OddModulus(n))
     # Already ordered by first element: a cycle's smallest vertex is odd (an
     # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
-    cosets = tuple(tuple(sorted(_lifts(vertices, int(n))))
+    cosets = tuple(tuple(sorted(_lifts(vertices, n)))
                    for vertices in _halving_walk(_walkable_mask(n)))
     nu = len(cosets[0])
     assert all(len(coset) == nu for coset in cosets)

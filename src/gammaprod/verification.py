@@ -9,12 +9,13 @@ rounded (math.fsum), so residuals reflect per-term error only.
 The default pass tolerance is 1e-9 * (1 + terms), loosened by a further
 1 + ln(2n) factor once n exceeds 10**4 and the per-term contract relaxes.
 A default that reaches ln(2)/2 could not fail a b off by one, so the check
-is refused as inconclusive.  An explicit tolerance must be positive and
-finite, since nan fails every check and inf passes any record; within that
-it is taken as given.
+is refused as inconclusive.  An explicit tolerance must be a positive and
+finite real number, since nan fails every check and inf passes any record;
+within that it is taken as given, as a float.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -82,10 +83,11 @@ class VerificationReport:
     term_count: int
 
 
-def _check_tolerance(tol: float) -> None:
-    """Refuse an explicit tolerance that is not positive and finite."""
-    if not 0 < tol < math.inf:  # nan fails the comparison too
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+def _check_tolerance(tol: float) -> float:
+    """An explicit tolerance as a float, or one DomainError for a non-number, nan, inf or <= 0."""
+    if isinstance(tol, numbers.Real) and 0 < tol < math.inf:  # nan fails the comparison too
+        return float(tol)
+    raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _residual_report(n: int, xs, rhs_terms: list[float],
@@ -98,7 +100,7 @@ def _residual_report(n: int, xs, rhs_terms: list[float],
             raise DomainError(f"the check of {len(xs)} terms at n={n} is inconclusive: its "
                               f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
     else:
-        _check_tolerance(tol)
+        tol = _check_tolerance(tol)
     if not xs:  # only a hand-built record: min would raise a bare ValueError
         raise DomainError(f"the coset at n={n} is empty; there is nothing to check")
     coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
@@ -133,7 +135,7 @@ def verify_identity(identity: GammaProductIdentity,
 
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     """Check the product over every unit mod 2n against (2*pi)**(phi/2)."""
-    n = OddModulus(n)
+    n = int(OddModulus(n))
     # The units mod 2n come from their own sieve, not from the walk mod n, so
     # term_count checks the decomposition; the tests pin the sieve to a gcd scan.
     units = units_mod(2 * n)

@@ -98,6 +98,13 @@ class TestPlumbing:
         assert rendered.format == "latex"
         assert isinstance(rendered.payload, str)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_stores_the_format_as_a_python_str(self, fmt):
+        np = pytest.importorskip("numpy")
+        rendered = render_identity(N7, np.str_(fmt))
+        assert type(rendered.format) is str and rendered.format == fmt
+        assert rendered == render_identity(N7, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format") as exc:
             render_identity(N7, "yaml")

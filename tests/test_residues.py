@@ -8,13 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from gammaprod import (
     OddModulus,
+    build_identity,
+    complement_identity,
     coset_decomposition,
+    enumerate_identities,
+    full_product_identity,
     halve_mod,
     halving_cycles,
+    mersenne_identity,
     multiplicative_order,
     odd_lift,
     odd_lift_inverse,
+    survey_row,
     units_mod,
+    verify_full_product,
+    verify_identity,
 )
 from gammaprod import residues
 from gammaprod.errors import DomainError, GammaprodError, InvalidModulusError, NotAUnitError
@@ -376,6 +384,31 @@ class TestIntegerArguments:
     def test_units_mod_refuses_a_non_integer_modulus(self, m):
         with pytest.raises(InvalidModulusError, match=f"^modulus must be an integer, got {m!r}$"):
             units_mod(m)
+
+
+# Each public constructor of a record, report or row that holds n, from n = 7
+# (mersenne_identity from m = 7, so n = 127), as a list of what it builds.
+N_HOLDERS = {
+    "coset_decomposition": lambda n: [coset_decomposition(n)],
+    "enumerate_identities": lambda n: list(enumerate_identities(n)),
+    "build_identity": lambda n: [build_identity(n, [1, 9, 11])],
+    "complement_identity": lambda n: [complement_identity(build_identity(n, [1, 9, 11]))],
+    "mersenne_identity": lambda m: [mersenne_identity(m)],
+    "full_product_identity": lambda n: [full_product_identity(n)],
+    "verify_identity": lambda n: [verify_identity(build_identity(n, [1, 9, 11]))],
+    "verify_full_product": lambda n: [verify_full_product(n)],
+    "survey_row": lambda n: [survey_row(n)],
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "numpy.int64", "Index", "OddModulus"])
+@pytest.mark.parametrize("entry", N_HOLDERS)
+def test_every_record_holds_n_as_a_python_int(entry, kind):
+    seven = {"int": lambda: 7, "numpy.int64": lambda: pytest.importorskip("numpy").int64(7),
+             "Index": lambda: Index(7), "OddModulus": lambda: OddModulus(7)}[kind]()
+    built = N_HOLDERS[entry](seven)
+    assert built and all(type(x.n) is int for x in built)
+    assert {x.n for x in built} == {127 if entry == "mersenne_identity" else 7}
 
 
 class TestHalvingCycles:

@@ -1,6 +1,7 @@
 """Numeric verification: log_gamma accuracy, residuals, tolerances, reports."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -210,6 +211,8 @@ class TestExplicitTolerance:
         (math.nan, "tolerance must be positive and finite, got nan"),
         (0, "tolerance must be positive and finite, got 0"),
         (-1e-9, "tolerance must be positive and finite, got -1e-09"),
+        ("1e-9", "tolerance must be positive and finite, got '1e-9'"),
+        ([1e-9], "tolerance must be positive and finite, got [1e-09]"),
     ])
     def test_refused_by_both_verifiers(self, tol, message):
         wrong = dataclasses.replace(build_identity(7, [1, 9, 11]), b=7)  # b off by 5
@@ -217,6 +220,16 @@ class TestExplicitTolerance:
             verify_identity(wrong, tol)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             verify_full_product(7, tol)
+
+    def test_a_numpy_tolerance_is_reported_as_a_float(self):
+        np = pytest.importorskip("numpy")
+        reports = (verify_identity(build_identity(7, [1, 9, 11]), np.float64(1e-9)),
+                   verify_full_product(np.int64(7), np.float32(1e-6)))
+        for report in reports:
+            assert type(report.tolerance) is float and type(report.passed) is bool
+            assert type(report.n) is int and type(report.residual) is float
+            json.dumps(dataclasses.asdict(report))  # a numpy scalar would not serialize
+        assert [r.tolerance for r in reports] == [1e-9, float(np.float32(1e-6))]
 
     def test_refused_before_the_range_check(self):
         identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(0, 9, 11))
