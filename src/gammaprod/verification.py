@@ -9,14 +9,16 @@ rounded (math.fsum), so residuals reflect per-term error only.
 The default pass tolerance is 1e-9 * (1 + terms), loosened by a further
 1 + ln(2n) factor once n exceeds 10**4 and the per-term contract relaxes.
 A default that reaches ln(2)/2 could not fail a b off by one, so the check
-is refused as inconclusive.  An explicit tolerance must be a positive and
-finite real number, since nan fails every check and inf passes any record;
-within that it is taken as given, as a float.
+is refused as inconclusive.  An explicit tolerance must be a real number or
+a Decimal, and its float must be positive and finite, since nan fails every
+check, inf passes any record and 0 passes only an exact residual; within
+that it is taken as given, as that float.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import DomainError
 from .identities import GammaProductIdentity
@@ -85,8 +87,12 @@ class VerificationReport:
 
 def _check_tolerance(tol: float) -> float:
     """An explicit tolerance as a float, or one DomainError for a non-number, nan, inf or <= 0."""
-    if isinstance(tol, numbers.Real) and 0 < tol < math.inf:  # nan fails the comparison too
-        return float(tol)
+    try:
+        t = float(tol) if isinstance(tol, (numbers.Real, Decimal)) else math.nan
+    except (OverflowError, ValueError):  # an int or Fraction past the float range, a Decimal sNaN
+        t = math.nan
+    if 0 < t < math.inf:  # nan fails the comparison too
+        return t
     raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 

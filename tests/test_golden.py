@@ -3,9 +3,10 @@
 Each digest covers, for every invocation in its group, the argv, the exit
 code, stdout and stderr, so any byte that changes in any of them shows up
 as a changed digest.  verify's residual digits depend on the platform's
-libm, and so does the n that holds a sweep's worst residual: the
-verify-masked group masks both before it digests stdout, and its tolerances
-stay at n <= 10**4, where no tol= passes through math.log.  The same digests
+libm, and so does the n that holds a sweep's worst residual: both are
+masked in stdout before it is digested (only verify prints them), and the
+verify-masked group stays at n <= 10**4, where no tol= passes through
+math.log.  The same digests
 are recomputed under every supported interpreter found on PATH.
 """
 
@@ -47,7 +48,7 @@ GROUPS = {
         *(["verify", str(n)] for n in ODD_N),
         ["verify", "--max", "199"],
         ["verify", "199", "--coset-of", "3"],
-        ["verify", "31", "--tol", "1e-30"],  # every residual misses: exit 1
+        ["verify", "199", "--coset-of", "3", "--tol", "1e-30"],  # a long coset misses: exit 1
         ["verify", "7", "--tol", "-1e-9"],  # the tolerance refusal: exit 2
     ],
     "refusals": [
@@ -58,8 +59,6 @@ GROUPS = {
         ["mersenne", "10001"],
     ],
 }
-
-MASKED = ["verify-masked"]  # digested with residual= and the worst lines masked
 
 DIGESTS = {
     "check-claims-json": "dd0aee01e8c30f411ea91c052721b17acc9708f0fc78357e390d1f8212530921",
@@ -77,37 +76,33 @@ DIGESTS = {
     "survey-4999-text": "313de6d751c8354c4f8491236d53f03fd4058325b01466938d3f511f3c95ef03",
     "survey-json": "fa40e2f463fd8f3e69e69999208e18326f19cf9a7257ccc2019677b9020f3184",
     "survey-text": "d6e9c0963b5a069d81added9051702042c1207261124c1918467d242f2821de1",
-    "verify-masked": "db235f639377c6cda46f9eaaf813c459eca3714a59276557048e2570d32cf6d2",
+    "verify-masked": "a1d68bd1a96f294454a3da4739d8148f0a965df03d8bf67fa4c3c58beb100535",
 }
 
 
-def _digest(argvs, masked=False) -> str:
+def _digest(argvs) -> str:
     sha = hashlib.sha256()
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_cli(argv)
-        out = out.getvalue()
-        if masked:
-            out = re.sub(r"residual=\S+", "residual=#", out)
-            out = re.sub(r"^(worst \S+ residual) .*$", r"\1 #", out, flags=re.M)
+        out = re.sub(r"residual=\S+", "residual=#", out.getvalue())
+        out = re.sub(r"^(worst \S+ residual) .*$", r"\1 #", out, flags=re.M)
         sha.update(json.dumps([argv, code, out, err.getvalue()]).encode())
     return sha.hexdigest()
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_output_is_unchanged(group):
-    assert _digest(GROUPS[group], group in MASKED) == DIGESTS[group]
+    assert _digest(GROUPS[group]) == DIGESTS[group]
 
 
 # A stdlib-only child: it reads GROUPS on stdin and prints their digests.
 _CHILD = "\n".join([
     "import contextlib, hashlib, io, json, re, sys",
     "from gammaprod import run_cli",
-    f"MASKED = {MASKED!r}",
     inspect.getsource(_digest),
-    "print(json.dumps({group: _digest(argvs, group in MASKED)",
-    "                  for group, argvs in json.load(sys.stdin).items()}))",
+    "print(json.dumps({group: _digest(argvs) for group, argvs in json.load(sys.stdin).items()}))",
 ])
 
 

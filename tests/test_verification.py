@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -213,6 +215,11 @@ class TestExplicitTolerance:
         (-1e-9, "tolerance must be positive and finite, got -1e-09"),
         ("1e-9", "tolerance must be positive and finite, got '1e-9'"),
         ([1e-9], "tolerance must be positive and finite, got [1e-09]"),
+        # checked as the float it is read as: 0.0, inf and an overflow are refused too
+        (Fraction(1, 10**400), f"tolerance must be positive and finite, got {Fraction(1, 10**400)!r}"),
+        (10**400, f"tolerance must be positive and finite, got {10**400!r}"),
+        (Decimal("1e400"), "tolerance must be positive and finite, got Decimal('1E+400')"),
+        (Decimal("sNaN"), "tolerance must be positive and finite, got Decimal('sNaN')"),
     ])
     def test_refused_by_both_verifiers(self, tol, message):
         wrong = dataclasses.replace(build_identity(7, [1, 9, 11]), b=7)  # b off by 5
@@ -230,6 +237,14 @@ class TestExplicitTolerance:
             assert type(report.n) is int and type(report.residual) is float
             json.dumps(dataclasses.asdict(report))  # a numpy scalar would not serialize
         assert [r.tolerance for r in reports] == [1e-9, float(np.float32(1e-6))]
+        with pytest.raises(DomainError, match=r"^tolerance must be positive and finite, got "):
+            verify_full_product(7, np.longdouble("1e400"))  # inf as a float
+
+    @pytest.mark.parametrize("tol", [Decimal("1e-9"), Fraction(1, 10**9), 1])
+    def test_a_decimal_or_fraction_tolerance_is_reported_as_a_float(self, tol):
+        report = verify_full_product(7, tol)
+        assert type(report.tolerance) is float and report.tolerance == float(tol)
+        assert report.passed
 
     def test_refused_before_the_range_check(self):
         identity = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=(0, 9, 11))
