@@ -4,12 +4,12 @@ counts for n < 100 and an honest checker for them."""
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
-from typing import Iterable
+from math import isqrt
+from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .residues import (OddModulus, _distinct_primes, _halving_walk, _index, _integer,
-                       _order_of_two, _walkable_mask)
+from .residues import (OddModulus, _distinct_primes, _index, _integer, _order_of_two,
+                       _walkable_mask)
 
 __all__ = [
     "SurveyRow",
@@ -41,10 +41,54 @@ def is_prime_power(n: int) -> bool:
     return n >= 2 and len(_distinct_primes(n)) == 1
 
 
-# survey_row scans cosets below this nu and walks them from it on.  Per unit
-# of phi (2 vCPU AMD EPYC, Python 3.11.7) the scan took 28 ns at nu = 504,
-# 50 ns at 1930, 58 ns at 2476 and 98 ns at 5003; the walk 55-67 ns at each.
-_SCAN_BELOW_NU = 2000
+def _table_beats_scan(nu: int, k: int) -> bool:
+    """Whether survey_row reads k cosets of size nu faster off the table than by the scan.
+
+    The table tests a unit in O(sqrt(nu)) steps but must reach each coset's
+    least unit, about k*ln(k) units in; the scan takes all phi/2 units at O(nu)
+    bigint work each.  Timed per row (2 vCPU Intel Xeon, Python 3.11.7) over
+    the odd n < 2000 and 1,500 odd n below 10**5, the two meet at isqrt(nu) =
+    7-8 for k = 2-3, 9-10 for k = 16-31 and 12-14 for k = 128-255, about
+    k.bit_length() + 4.5; this rule came within 2% of the faster path's total
+    on both sets.  Many short cosets stay with the scan: 0.25-0.34 s at
+    2**23 - 1 (nu = 23, k = 356,960), where the table took 2.3 s.  Long ones
+    go to the table: 0.09-0.14 s at 6651541 (nu = 2268, k = 2592), the scan 0.67 s.
+    """
+    return k.bit_length() + 4 < isqrt(nu)
+
+
+def _coset_representatives(n: int, nu: int, k: int, units: Iterable[int]) -> Iterator[int]:
+    """Yield each unit of the ascending units that lies in no coset yielded before,
+    stopping at the k-th, with one shared baby-step giant-step table.
+
+    Each representative r found puts r * 2**(s*a) mod n for a < ceil(nu/s) into
+    the table, s = isqrt(nu) + 1.  Every t < nu is s*a + j with j < s, so u lies
+    in the coset of some r found exactly when one of its first s halvings
+    u * 2**-j mod n is in the table: O(sqrt(nu)) steps a unit, whatever k is.
+    """
+    s = isqrt(nu) + 1
+    giant, steps = pow(2, s, n), -(-nu // s)
+    table = set()
+    for u in units:
+        v = u
+        for _ in range(s):
+            if v in table:
+                break
+            v = (v + n) >> 1 if v & 1 else v >> 1
+        else:
+            yield u
+            k -= 1
+            if not k:
+                return
+            for _ in range(steps):
+                table.add(u)
+                u = u * giant % n
+
+
+def _fewest_ones(n: int, nu: int, reps: Iterable[int]) -> int:
+    """The fewest 1 bits among the nu-bit blocks u * (2**nu - 1) / n of the units u in reps."""
+    block = ((1 << nu) - 1) // n
+    return min(map(int.bit_count, map(block.__mul__, reps)))
 
 
 def survey_row(n: int) -> SurveyRow:
@@ -52,51 +96,52 @@ def survey_row(n: int) -> SurveyRow:
 
     phi counts the unit mask and nu = ord_n(2), the period of 1/n in base 2,
     is phi with every prime factor stripped that 2 does not need.  The
-    cycles lift to the cosets, each of size nu, so there are phi/nu.
+    cycles lift to the cosets, each of size nu, so there are k = phi/nu.
 
     A coset's b counts the even vertices of its halving cycle C, and
     2*sum(C) = sum(C) + n*#odd around C, so b = nu - sum(C)/n.  Read in base
     2: u * (2**nu - 1) / n is the repeating nu-bit block of u/n, each 1 bit
     a doubling step that wraps past n, that is an odd vertex of C, so
-    sum(C)/n is the block's popcount.  Every cycle's smallest vertex is odd
-    (an even v has v/2 on its cycle) and below n/2 (a v > n/2 has 2v - n),
-    so the odd units below n/2 reach every coset.  The scan and the walk
-    differ only in the representatives whose popcounts they take: the scan
-    all those units, at O(nu) bigint work each, the walk each cycle's least
-    vertex, at O(1) per step, so cosets of nu below _SCAN_BELOW_NU are
-    scanned and longer ones walked.
+    sum(C)/n is the block's popcount.  When -1 is in <2>, x -> n - x maps
+    each cycle to itself and flips the parity of every vertex, so every b is
+    nu/2 and no popcount is taken.  Otherwise: every cycle's smallest vertex
+    is odd (an even v has v/2 on its cycle) and below n/2 (a v > n/2 has
+    2v - n), so the odd units below n/2 reach every coset.  The scan takes the
+    popcount of all of them; _coset_representatives keeps one per coset, and
+    _table_beats_scan picks between the two on nu and k.
     """
     n = int(OddModulus(n))
     mask = _walkable_mask(n)
     phi = mask.count(1)
-    p = mask.find(0, 1)  # n's least prime, or -1 when n is prime; read before a walk clears mask
+    p = mask.find(0, 1)  # n's least prime, or -1 when n is prime
     nu = _order_of_two(n, phi)
-    block, half = ((1 << nu) - 1) // n, n // 2 + 1
-    if nu < _SCAN_BELOW_NU:
-        reps = compress(range(1, half, 2), mask[1:half:2])
-    else:
-        reps = map(itemgetter(0), _halving_walk(mask))  # holds no cycle while the next is walked
-    low = min(map(int.bit_count, map(block.__mul__, reps)))
     coset_count = phi // nu
     # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
     # none.  -1 can only be 2**(nu/2), the element of order 2 of the cyclic
     # <2>; for odd nu the test fails by itself, as 2**(nu-1) is not 1.
     self_complementary = pow(2, nu // 2, n) == n - 1
+    if self_complementary:
+        max_b = nu // 2
+    else:
+        half = n // 2 + 1
+        reps = compress(range(1, half, 2), mask[1:half:2])
+        if _table_beats_scan(nu, coset_count):
+            reps = _coset_representatives(n, nu, coset_count, reps)
+        max_b = nu - _fewest_ones(n, nu, reps)
     return SurveyRow(
         n=n,
         phi=phi,
         nu=nu,
         coset_count=coset_count,
         self_complementary_count=coset_count if self_complementary else 0,
-        max_b=nu - low,
+        max_b=max_b,
         is_prime_power=p < 0 or phi * p == n * (p - 1),  # phi(p**k) == n * (1 - 1/p)
     )
 
 
 # verify --max N walks the units of every odd n <= N, about 0.203 * N**2 of
-# them: 2e9 at this bound, about 20 minutes.  survey walks only the n whose nu
-# reaches _SCAN_BELOW_NU and scans the rest: 253 s at this bound on a 2 vCPU
-# Intel Xeon with Python 3.11.7.
+# them: 2e9 at this bound, about 20 minutes.  survey walks no cycle: 18 s at
+# this bound on a 2 vCPU Intel Xeon with Python 3.11.7.
 _MAX_SWEEP = 10**5
 
 

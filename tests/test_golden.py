@@ -39,7 +39,7 @@ GROUPS = {
        for fmt in FORMATS},
     "survey-text": [["survey", "--max", "999"]],
     "survey-json": [["survey", "--max", "999", "--json"]],
-    # rows past n = 2000 reach nu >= survey._SCAN_BELOW_NU, so both paths run
+    # 801 of these rows take survey_row's shortcut, 1284 the table and 414 the scan
     "survey-4999-text": [["survey", "--max", "4999"]],
     "survey-4999-json": [["survey", "--max", "4999", "--json"]],
     "check-claims-text": [["survey", "--max", "99", "--check-claims"]],

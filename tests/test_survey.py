@@ -1,6 +1,7 @@
 """Survey rows and the recorded n < 100 reference counts."""
 
 import dataclasses
+import math
 import re
 
 import pytest
@@ -341,33 +342,132 @@ def test_order_of_two_matches_on_large_moduli(n):
     assert residues._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
 
 
+# None leaves the selector as it is; True forces every row past the shortcut to
+# the table, False to the scan
+PATHS = pytest.mark.parametrize("table", [None, True, False], ids=["selected", "table", "scan"])
+
+
+def _force(monkeypatch, table):
+    if table is not None:
+        monkeypatch.setattr(survey, "_table_beats_scan", lambda nu, k: table)
+
+
 @pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
-def test_a_walked_row_sieves_once(n, monkeypatch):
-    # the walk reads the cycles off the mask the row has already counted
+@PATHS
+def test_a_row_sieves_once(n, table, monkeypatch):
+    # every path reads its units off the mask the row has already counted
     sieved, sieve = [], residues._unit_mask
     monkeypatch.setattr(residues, "_unit_mask", lambda m: sieved.append(m) or sieve(m))
-    monkeypatch.setattr(survey, "_SCAN_BELOW_NU", 0)
+    _force(monkeypatch, table)
     survey_row(n)
     assert sieved == [n]
 
 
 @pytest.mark.parametrize("n", [3, 9, 15, 31, 91, 2187, 6561, 15625, 1000003])
-@pytest.mark.parametrize("cut", [0, survey._SCAN_BELOW_NU])  # walked, then as selected
-def test_a_row_factors_n_once(n, cut, monkeypatch):
+@PATHS
+def test_a_row_factors_n_once(n, table, monkeypatch):
     # the sieve's first non-unit is n's least prime p, and n = p**k exactly
     # when phi = n - n/p, so the prime-power column needs no second factoring
     factored, factor = [], residues._distinct_primes
     counted = lambda m: factored.append(m) or factor(m)
     monkeypatch.setattr(residues, "_distinct_primes", counted)
     monkeypatch.setattr(survey, "_distinct_primes", counted)
-    monkeypatch.setattr(survey, "_SCAN_BELOW_NU", cut)
+    _force(monkeypatch, table)
     row = survey_row(n)
     assert factored.count(n) == 1
     assert row.is_prime_power == brute_prime_power(n) == is_prime_power(n)
 
 
-def test_scan_and_walk_give_the_same_rows(monkeypatch):
+def test_table_and_scan_give_the_same_rows(monkeypatch):
     rows = survey_range(1999)
-    for cut in (0, 10**9):  # every row walked, then every row scanned
-        monkeypatch.setattr(survey, "_SCAN_BELOW_NU", cut)
+    for table in (True, False):  # every row to the table, then every row to the scan
+        _force(monkeypatch, table)
         assert survey_range(1999) == rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**4 - 1).map(lambda k: 2 * k + 1))
+def test_table_and_scan_give_the_same_large_rows(n):
+    row = survey_row(n)
+    for table in (True, False):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _force(monkeypatch, table)
+            assert survey_row(n) == row
+
+
+def _odd_units_below_half(n):
+    return [u for u in range(1, n // 2 + 1, 2) if math.gcd(u, n) == 1]
+
+
+def test_the_shortcut_agrees_with_a_scan():
+    # -1 in <2> puts x and n - x, one odd and one even, on every cycle, so
+    # every b is nu/2; the scan's popcounts must say the same
+    rows = [row for row in survey_range(1999) if row.self_complementary_count]
+    assert len(rows) == 352
+    for row in rows:
+        assert row.max_b == row.nu - survey._fewest_ones(row.n, row.nu,
+                                                         _odd_units_below_half(row.n))
+
+
+def _doubling_cosets(n):
+    """The cosets of <2> among the units mod n, by marking doubling orbits."""
+    seen, cosets = set(), []
+    for u in range(1, n):
+        if math.gcd(u, n) == 1 and u not in seen:
+            coset, v = [], u
+            while v not in coset:
+                coset.append(v)
+                v = 2 * v % n
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+def test_the_table_finds_each_coset_once():
+    # fed every unit in order with no early stop, the table must yield each
+    # coset's least unit and nothing else: every membership test is exercised
+    for n in range(3, 600, 2):
+        cosets = _doubling_cosets(n)
+        units = sorted(u for coset in cosets for u in coset)
+        nu = len(cosets[0])
+        found = list(survey._coset_representatives(n, nu, len(units), units))
+        assert found == [min(coset) for coset in cosets]
+        # stopped at k, it yields the k cosets of the odd units below n/2 and
+        # reads no unit past the k-th representative
+        odd = _odd_units_below_half(n)
+        units = iter(odd)
+        found = list(survey._coset_representatives(n, nu, len(cosets), units))
+        assert found == sorted(min(u for u in coset if u in odd) for coset in cosets)
+        assert next(units, None) == next((u for u in odd if u > found[-1]), None)
+
+
+def _refuse(name):
+    def refused(*args):
+        raise AssertionError(f"{name} ran")
+    return refused
+
+
+def test_many_short_cosets_take_the_scan(monkeypatch):
+    n = 2**20 - 1  # nu = 20, k = 24000: the table took 0.16 s, the scan 0.02 s
+    monkeypatch.setattr(survey, "_coset_representatives", _refuse("the table"))
+    row = survey_row(n)
+    assert (row.nu, row.coset_count, row.max_b) == (20, 24000, 19)
+
+
+def test_a_self_complementary_row_takes_the_shortcut(monkeypatch):
+    monkeypatch.setattr(survey, "_coset_representatives", _refuse("the table"))
+    monkeypatch.setattr(survey, "_fewest_ones", _refuse("a popcount"))
+    row = survey_row(1000003)
+    assert row.self_complementary_count == row.coset_count == 1
+    assert 2 * row.max_b == row.nu == 1000002
+
+
+def test_long_cosets_take_the_table(monkeypatch):
+    # nu = 2268 and k = 2592 near the walk bound: the table took 0.12 s, the scan 0.67 s
+    n, tables, table = 6651541, [], survey._coset_representatives
+    monkeypatch.setattr(survey, "_coset_representatives",
+                        lambda *args: tables.append(args[0]) or table(*args))
+    row = survey_row(n)
+    assert tables == [n] and (row.nu, row.coset_count) == (2268, 2592)
+    _force(monkeypatch, False)
+    assert survey_row(n) == row
