@@ -342,37 +342,37 @@ def test_order_of_two_matches_on_large_moduli(n):
     assert residues._order_of_two(n, _totient(n)) == multiplicative_order(2, n)
 
 
-# None leaves the selector as it is; True forces every row past the shortcut to
-# the table, False to the scan
-PATHS = pytest.mark.parametrize("table", [None, True, False], ids=["selected", "table", "scan"])
+def _table_from(monkeypatch, cut):
+    """Send every row past the shortcut with nu >= cut to the table, the rest to the scan."""
+    monkeypatch.setattr(survey, "_table_beats_scan", lambda nu, k: nu >= cut)
 
 
-def _force(monkeypatch, table):
-    if table is not None:
-        monkeypatch.setattr(survey, "_table_beats_scan", lambda nu, k: table)
+# 0 sends every row past the shortcut to the table, 10**9 every row to the
+# scan, and 2000 splits the moduli below between the two
+CUTS = pytest.mark.parametrize("cut", [0, 2000, 10**9])
 
 
 @pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
-@PATHS
-def test_a_row_sieves_once(n, table, monkeypatch):
+@CUTS
+def test_a_row_sieves_once(n, cut, monkeypatch):
     # every path reads its units off the mask the row has already counted
     sieved, sieve = [], residues._unit_mask
     monkeypatch.setattr(residues, "_unit_mask", lambda m: sieved.append(m) or sieve(m))
-    _force(monkeypatch, table)
+    _table_from(monkeypatch, cut)
     survey_row(n)
     assert sieved == [n]
 
 
 @pytest.mark.parametrize("n", [3, 9, 15, 31, 91, 2187, 6561, 15625, 1000003])
-@PATHS
-def test_a_row_factors_n_once(n, table, monkeypatch):
+@CUTS
+def test_a_row_factors_n_once(n, cut, monkeypatch):
     # the sieve's first non-unit is n's least prime p, and n = p**k exactly
     # when phi = n - n/p, so the prime-power column needs no second factoring
     factored, factor = [], residues._distinct_primes
     counted = lambda m: factored.append(m) or factor(m)
     monkeypatch.setattr(residues, "_distinct_primes", counted)
     monkeypatch.setattr(survey, "_distinct_primes", counted)
-    _force(monkeypatch, table)
+    _table_from(monkeypatch, cut)
     row = survey_row(n)
     assert factored.count(n) == 1
     assert row.is_prime_power == brute_prime_power(n) == is_prime_power(n)
@@ -380,8 +380,8 @@ def test_a_row_factors_n_once(n, table, monkeypatch):
 
 def test_table_and_scan_give_the_same_rows(monkeypatch):
     rows = survey_range(1999)
-    for table in (True, False):  # every row to the table, then every row to the scan
-        _force(monkeypatch, table)
+    for cut in (0, 10**9):  # every row to the table, then every row to the scan
+        _table_from(monkeypatch, cut)
         assert survey_range(1999) == rows
 
 
@@ -389,9 +389,9 @@ def test_table_and_scan_give_the_same_rows(monkeypatch):
 @given(st.integers(min_value=1, max_value=5 * 10**4 - 1).map(lambda k: 2 * k + 1))
 def test_table_and_scan_give_the_same_large_rows(n):
     row = survey_row(n)
-    for table in (True, False):
+    for cut in (0, 10**9):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            _force(monkeypatch, table)
+            _table_from(monkeypatch, cut)
             assert survey_row(n) == row
 
 
@@ -469,5 +469,5 @@ def test_long_cosets_take_the_table(monkeypatch):
                         lambda *args: tables.append(args[0]) or table(*args))
     row = survey_row(n)
     assert tables == [n] and (row.nu, row.coset_count) == (2268, 2592)
-    _force(monkeypatch, False)
+    _table_from(monkeypatch, 10**9)
     assert survey_row(n) == row
