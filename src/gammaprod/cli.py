@@ -201,7 +201,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.run(args)
     except GammaprodError as exc:

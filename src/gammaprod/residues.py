@@ -7,7 +7,7 @@ smallest member.  Together this makes every derived listing deterministic.
 
 Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus.  units_mod reads its units
-off it, and the halving walk consumes the mask its caller sieved, clearing
+off it, and the halving walk sieves its own mask and consumes it, clearing
 each cycle's vertices as it goes.  _halving_orbit is the one cycle walk;
 every halving cycle and coset is read off it.  _order_of_two is the one order
 routine of 2: survey_row and build_identity size cosets by it, walking none.
@@ -257,21 +257,21 @@ def _halving_orbit(n: int, y: int) -> list[int]:
 
 
 def _walkable_mask(n: int) -> bytearray:
-    """The unit mask of an n the walk accepts: n > _MAX_WALK raises DomainError first."""
+    """The unit mask of an n <= _MAX_WALK, which the walk consumes or a count of phi reads."""
     if n > _MAX_WALK:
         raise DomainError(f"n={n} is too large to enumerate; the limit is n <= {_MAX_WALK}")
     return _unit_mask(n)
 
 
-def _halving_walk(todo: bytearray) -> Iterator[list[int]]:
-    """Yield the vertices of each halving cycle mod n = len(todo), one at a time.
+def _halving_walk(n: int) -> Iterator[list[int]]:
+    """Yield the vertices of each halving cycle mod a plain-int n, one at a time.
 
-    todo is the caller's unit mask from _walkable_mask(n), and the walk
-    consumes it: it clears a cycle's vertices, yields the cycle, and walks the
-    next from the smallest unit left, so cycles come in order of their minimum,
-    the cycle of 1 first.  _lifts labels a cycle when a caller needs it.
+    The walk sieves its own unit mask on the first next() and consumes it: it
+    clears a cycle's vertices, yields the cycle, and walks the next from the
+    smallest unit left, so cycles come in order of their minimum, the cycle of
+    1 first.  _lifts labels a cycle when a caller needs it.
     """
-    n, start = len(todo), 1
+    todo, start = _walkable_mask(n), 1
     while start != -1:
         vertices = _halving_orbit(n, start)
         for v in vertices:
@@ -297,7 +297,7 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     """
     n = int(OddModulus(n))
     return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, n)))
-                 for vertices in _halving_walk(_walkable_mask(n)))
+                 for vertices in _halving_walk(n))
 
 
 def coset_decomposition(n: int) -> CosetDecomposition:
@@ -314,7 +314,7 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     # Already ordered by first element: a cycle's smallest vertex is odd (an
     # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
     cosets = tuple(tuple(sorted(_lifts(vertices, n)))
-                   for vertices in _halving_walk(_walkable_mask(n)))
+                   for vertices in _halving_walk(n))
     nu = len(cosets[0])
     assert all(len(coset) == nu for coset in cosets)
     return CosetDecomposition(n=n, nu=nu, cosets=cosets)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DomainError
-from .identities import GammaProductIdentity
-from .residues import OddModulus, units_mod
+from .identities import GammaProductIdentity, full_product_identity
+from .residues import units_mod
 
 __all__ = [
     "VerificationReport",
@@ -140,9 +140,9 @@ def verify_identity(identity: GammaProductIdentity,
 
 
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
-    """Check the product over every unit mod 2n against (2*pi)**(phi/2)."""
-    n = int(OddModulus(n))
-    # The units mod 2n come from their own sieve, not from the walk mod n, so
-    # term_count checks the decomposition; the tests pin the sieve to a gcd scan.
-    units = units_mod(2 * n)
-    return _residual_report(n, units, [-0.5 * len(units) * (_LN_2 + _LN_PI)], tol)
+    """Check the record full_product_identity(n): the product over every unit mod 2n."""
+    fp = full_product_identity(n)
+    # The units mod 2n come from their own sieve, not the mask mod n that counted
+    # the record's phi, so a wrong pow2 shows; the tests pin the sieve to a gcd scan.
+    units = units_mod(2 * fp.n)
+    return _residual_report(fp.n, units, [-fp.pow2 * (_LN_2 + _LN_PI)], tol)

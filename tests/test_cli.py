@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import FORMATS, cli, residues, run_cli, survey, verification
+from gammaprod import FORMATS, cli, identities, residues, run_cli, survey, verification
 
 N31_COSET_LINES = """\
 (1,33,35,39,47)
@@ -168,6 +168,21 @@ class TestVerify:
         assert run_cli(["verify", "7", "--tol", tol]) == 2
         assert capsys.readouterr() == joined
         assert joined.err == f"error: tolerance must be positive and finite, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("argv", [["verify", "9999991", "--tol", "-1e-9"],
+                                      ["verify", "7", "--coset-of", "3", "--tol=nan"],
+                                      ["verify", "--max", "99", "--tol=0"]])
+    def test_a_bad_tolerance_is_refused_before_any_work(self, argv, capsys, monkeypatch):
+        # refused at once, so a bad --tol on a large n neither sieves nor walks
+        def no_work(*args):
+            raise AssertionError("work began before the tolerance was checked")
+        for module, name in [(residues, "_unit_mask"), (residues, "_halving_orbit"),
+                             (identities, "_halving_orbit")]:
+            monkeypatch.setattr(module, name, no_work)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance must be positive and finite, got ")
 
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf"])
     def test_non_positive_tolerance_is_domain_error(self, tol, capsys):

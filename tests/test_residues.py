@@ -495,10 +495,14 @@ class TestHalvingOrbit:
 
 class TestHalvingWalk:
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
-    def test_is_lazy_and_consumes_its_mask(self, n):
-        mask = residues._walkable_mask(n)
-        walk = residues._halving_walk(mask)
+    def test_is_lazy_and_consumes_its_mask(self, n, monkeypatch):
+        masks, sieve = [], residues._walkable_mask
+        monkeypatch.setattr(residues, "_walkable_mask",
+                            lambda m: masks.append(sieve(m)) or masks[-1])
+        walk = residues._halving_walk(n)
+        assert masks == []  # nothing sieved before the first next()
         first = next(walk)
+        (mask,) = masks
         assert first == _halving_orbit(n, 1)
         # only the cycle of 1 is cleared so far
         assert [x for x in range(n) if mask[x]] == sorted(set(brute_units(n)) - set(first))
@@ -508,7 +512,7 @@ class TestHalvingWalk:
 
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_lets_go_of_the_spent_mask_before_the_last_cycle(self, n):
-        walk = residues._halving_walk(residues._walkable_mask(n))
+        walk = residues._halving_walk(n)
         for _ in range(len(halving_cycles(n)) - 1):
             next(walk)
             assert "todo" in walk.gi_frame.f_locals

@@ -11,6 +11,7 @@ from gammaprod import (
     SurveyRow,
     check_reference_claims,
     enumerate_identities,
+    halving_cycles,
     is_prime_power,
     is_self_complementary,
     multiplicative_order,
@@ -319,7 +320,7 @@ def test_cycle_sum_is_the_popcount_of_the_binary_period():
     # u * (2**nu - 1) / n is the repeating nu-bit block of u/n; each 1 bit is
     # an odd vertex of u's halving cycle C, so the block has sum(C)/n of them
     for n in range(3, 3000, 2):
-        cycles = list(residues._halving_walk(residues._walkable_mask(n)))
+        cycles = [c.vertices for c in halving_cycles(n)]
         block = ((1 << len(cycles[0])) - 1) // n
         for cycle in cycles:
             total = sum(cycle)

@@ -280,6 +280,16 @@ class TestVerifyFullProduct:
             phi = len(units_mod(n))
             assert abs(total - parts) <= 1e-12 * phi
 
+    def test_reads_the_record_it_checks(self, monkeypatch):
+        # the check is of full_product_identity's record: a pow2 off by one
+        # shifts the residual by -ln(2 pi) and fails
+        honest, record = verify_full_product(31), verification.full_product_identity
+        monkeypatch.setattr(verification, "full_product_identity",
+                            lambda n: dataclasses.replace(record(n), pow2=record(n).pow2 + 1))
+        report = verify_full_product(31)
+        assert not report.passed
+        assert report.residual == pytest.approx(honest.residual - LN2 - LNPI, abs=1e-12)
+
     def test_rejects_even(self):
         with pytest.raises(Exception):
             verify_full_product(8)
