@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _coset_text(coset) -> str:
-    return "(" + ",".join(str(x) for x in coset) + ")"
+    return "(" + ",".join(map(str, coset)) + ")"
 
 
 def _report_line(report, what: str) -> str:

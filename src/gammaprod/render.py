@@ -1,7 +1,8 @@
 """Text, LaTeX and JSON renderings of the identities.
 
 Conventions shared by all formats: numerators ascending, unit factors
-(2**0, pi**0) omitted, 2**1 written as a bare 2.  JSON field names are a
+(2**0, pi**0) omitted, 2**1 and pi**1 written bare, and any other exponent
+printed with its sign, as the record holds it.  JSON field names are a
 stable external contract; payloads are single lines so streams of
 identities come out newline-delimited.
 """
@@ -26,29 +27,32 @@ def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
     factors = []
     if b == 1:
         factors.append("2")
-    elif b >= 2:
+    elif b != 0:
         factors.append("2" + sup.format(b))
     if nu == 2:
         factors.append(pi_sym)
-    elif nu > 0 and nu % 2 == 0:
+    elif nu != 0 and nu % 2 == 0:
         factors.append(pi_sym + sup.format(nu // 2))
-    elif nu > 0:
+    elif nu != 0:
         factors.append(pi_sym + sup.format(f"{nu}/2" if latex else f"({nu}/2)"))
     return times.join(factors) if factors else "1"
+
+
+def _lhs(coset: tuple[int, ...], head: str, tail: str, times: str) -> str:
+    """head + x + tail for each numerator x, joined by times, in one str.join."""
+    return head + (tail + times + head).join(map(str, coset)) + tail if coset else ""
 
 
 def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     gamma = "Gamma" if ascii_symbols else "Γ"
     times = "*" if ascii_symbols else "·"
     pi_sym = "pi" if ascii_symbols else "π"
-    m = identity.modulus
-    lhs = times.join(f"{gamma}({x}/{m})" for x in identity.coset)
+    lhs = _lhs(identity.coset, f"{gamma}(", f"/{identity.modulus})", times)
     return f"{lhs} = {_rhs(identity.b, identity.nu, times, pi_sym, latex=False)}"
 
 
 def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
-    m = identity.modulus
-    lhs = "".join(rf"\Gamma\left(\frac{{{x}}}{{{m}}}\right)" for x in identity.coset)
+    lhs = _lhs(identity.coset, r"\Gamma\left(\frac{", rf"}}{{{identity.modulus}}}\right)", "")
     rhs = _rhs(identity.b, identity.nu, "", r"\pi", latex=True)
     return rf"\[{lhs} = {rhs}\]"
 
@@ -57,10 +61,10 @@ def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return json.dumps({
         "n": identity.n,
         "modulus": identity.modulus,
-        "coset": list(identity.coset),
+        "coset": identity.coset,
         "nu": identity.nu,
         "b": identity.b,
-        "rhs": {"pow2": identity.rhs.pow2, "pi_half_units": identity.rhs.pi_half_units},
+        "rhs": {"pow2": identity.b, "pi_half_units": identity.nu},
     })
 
 

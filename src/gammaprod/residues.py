@@ -8,9 +8,11 @@ smallest member.  Together this makes every derived listing deterministic.
 Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus.  units_mod reads its units
 off it, and the halving walk sieves its own mask and consumes it, clearing
-each cycle's vertices as it goes.  _halving_orbit is the one cycle walk;
-every halving cycle and coset is read off it.  _order_of_two is the one order
-routine of 2: survey_row and build_identity size cosets by it, walking none.
+each cycle's vertices as it goes.  _halving_orbit is the one cycle walk: the
+halving walk runs it on the cycle of 1 alone and reads every later cycle as
+a multiple of that subgroup, and a single coset's record walks its own unit.
+_order_of_two is the one order routine of 2: survey_row and build_identity
+size cosets by it, walking none.
 """
 
 import itertools
@@ -127,10 +129,11 @@ class CosetDecomposition:
         raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
-# The walk mod n holds one cycle at a time, at most about 41 bytes per unit
-# (64-bit CPython), 0.4 GB at the limit; halving_cycles and coset_decomposition
-# keep every cycle, about 80 bytes per unit, 0.8 GB.  units_mod takes the
-# moduli 2n of the walkable n.
+# The walk mod n holds the subgroup and one later cycle, at most about 42 bytes
+# per unit together (64-bit CPython), 0.42 GB at the limit; halving_cycles and
+# coset_decomposition keep every cycle, about 73 and 59 bytes per unit, 0.73
+# and 0.59 GB (tracemalloc peaks at the two-cycle n = 9999991).  units_mod
+# takes the moduli 2n of the walkable n.
 _MAX_WALK = 10**7
 
 
@@ -266,21 +269,28 @@ def _walkable_mask(n: int) -> bytearray:
 def _halving_walk(n: int) -> Iterator[list[int]]:
     """Yield the vertices of each halving cycle mod a plain-int n, one at a time.
 
-    The walk sieves its own unit mask on the first next() and consumes it: it
-    clears a cycle's vertices, yields the cycle, and walks the next from the
-    smallest unit left, so cycles come in order of their minimum, the cycle of
-    1 first.  _lifts labels a cycle when a caller needs it.
+    Only the cycle of 1, the subgroup, is walked.  The cycle of any other
+    unit y is the subgroup times y, in the same rotation: halving i times
+    multiplies by 2**-i, so it takes y to y times the i-th vertex of the
+    subgroup.  The walk sieves its own unit mask on the first next() and
+    consumes it: it clears a cycle's vertices, yields the cycle, and reads the
+    next from the smallest unit left, so cycles come in order of their
+    minimum, the cycle of 1 first.  _lifts labels a cycle when a caller needs it.
     """
-    todo, start = _walkable_mask(n), 1
-    while start != -1:
-        vertices = _halving_orbit(n, start)
+    todo = _walkable_mask(n)
+    subgroup = vertices = _halving_orbit(n, 1)
+    start = 1
+    while True:
         for v in vertices:
             todo[v] = 0
         start = todo.find(1, start + 1)
         if start == -1:
-            del todo  # spent: not alive while the caller lifts the last cycle
+            break
         yield vertices
-        del vertices  # not alive during the next orbit
+        del vertices  # not alive beside the next cycle
+        vertices = [start * h % n for h in subgroup]
+    del todo, subgroup  # spent: not alive while the caller lifts the last cycle
+    yield vertices
 
 
 def _lifts(vertices: list[int], n: int) -> list[int]:

@@ -39,6 +39,19 @@ class TestText:
         flat = dataclasses.replace(N31, b=0)
         assert render_identity(flat).payload.endswith("= π^(5/2)")
 
+    @pytest.mark.parametrize(("b", "nu", "rhs"), [
+        (-1, 3, "= 2^-1·π^(3/2)"),
+        (-2, 2, "= 2^-2·π"),
+        (0, -2, "= π^-1"),
+        (1, -3, "= 2·π^(-3/2)"),
+    ])
+    def test_negative_exponents_keep_their_sign(self, b, nu, rhs):
+        signed = dataclasses.replace(N7, b=b, nu=nu)
+        assert render_identity(signed).payload.endswith(rhs)
+        # the same exponents json already carries
+        assert json.loads(render_identity(signed, "json").payload)["rhs"] == {
+            "pow2": b, "pi_half_units": nu}
+
 
 class TestLatex:
     def test_n31(self):
@@ -58,6 +71,14 @@ class TestLatex:
     def test_integer_pi_exponent(self):
         assert render_identity(mersenne_identity(4), "latex").payload.endswith(
             r"= 2^{3}\pi^{2}\]")
+
+    @pytest.mark.parametrize(("b", "nu", "rhs"), [
+        (-1, 3, r"= 2^{-1}\pi^{3/2}\]"),
+        (0, -2, r"= \pi^{-1}\]"),
+        (1, -3, r"= 2\pi^{-3/2}\]"),
+    ])
+    def test_negative_exponents_keep_their_sign(self, b, nu, rhs):
+        assert render_identity(dataclasses.replace(N7, b=b, nu=nu), "latex").payload.endswith(rhs)
 
     def test_one_display_equation_per_identity(self):
         payload = render_identity(N7, "latex").payload
@@ -117,3 +138,51 @@ class TestPlumbing:
             assert rendered.format == fmt
             assert rendered.payload and "\n" not in rendered.payload
         assert (plain == ascii_) == (fmt != "text")  # ascii_symbols touches only text
+
+
+# The per-factor renderers the single-join ones replaced, kept as the reference.
+def _reference_rhs(b, nu, times, pi_sym, latex):
+    sup = "^{{{}}}" if latex else "^{}"
+    factors = []
+    if b == 1:
+        factors.append("2")
+    elif b >= 2:
+        factors.append("2" + sup.format(b))
+    if nu == 2:
+        factors.append(pi_sym)
+    elif nu > 0 and nu % 2 == 0:
+        factors.append(pi_sym + sup.format(nu // 2))
+    elif nu > 0:
+        factors.append(pi_sym + sup.format(f"{nu}/2" if latex else f"({nu}/2)"))
+    return times.join(factors) if factors else "1"
+
+
+def _reference_payload(identity, fmt, ascii_symbols):
+    m = identity.modulus
+    if fmt == "text":
+        gamma, times, pi_sym = ("Gamma", "*", "pi") if ascii_symbols else ("Γ", "·", "π")
+        lhs = times.join(f"{gamma}({x}/{m})" for x in identity.coset)
+        return f"{lhs} = {_reference_rhs(identity.b, identity.nu, times, pi_sym, latex=False)}"
+    if fmt == "latex":
+        lhs = "".join(rf"\Gamma\left(\frac{{{x}}}{{{m}}}\right)" for x in identity.coset)
+        rhs = _reference_rhs(identity.b, identity.nu, "", r"\pi", latex=True)
+        return rf"\[{lhs} = {rhs}\]"
+    return json.dumps({
+        "n": identity.n,
+        "modulus": m,
+        "coset": list(identity.coset),
+        "nu": identity.nu,
+        "b": identity.b,
+        "rhs": {"pow2": identity.rhs.pow2, "pi_half_units": identity.rhs.pi_half_units},
+    })
+
+
+def test_payloads_match_the_per_factor_reference():
+    identities = [i for n in range(3, 600, 2) for i in enumerate_identities(n)]
+    identities.append(dataclasses.replace(N7, n=3, coset=(), b=2))  # hand-built, empty
+    for identity in identities:
+        for fmt in FORMATS:
+            for ascii_symbols in (False, True):
+                assert (render_identity(identity, fmt, ascii_symbols).payload
+                        == _reference_payload(identity, fmt, ascii_symbols))
+    assert render_identity(identities[-1]).payload == " = 2^2·π^(3/2)"

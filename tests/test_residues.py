@@ -510,15 +510,27 @@ class TestHalvingWalk:
         assert mask == bytearray(n)
         assert sorted(first + [v for cycle in rest for v in cycle]) == brute_units(n)
 
+    @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023, 1048575])
+    def test_walks_only_the_cycle_of_one(self, n, monkeypatch):
+        walked, orbit = [], residues._halving_orbit
+        monkeypatch.setattr(residues, "_halving_orbit",
+                            lambda m, y: walked.append(y) or orbit(m, y))
+        first, *rest = residues._halving_walk(n)
+        assert walked == [1]
+        # halving i times multiplies by 2**-i: cycle y is the subgroup times y, same rotation
+        for cycle in rest:
+            y = cycle[0]
+            assert cycle == [y * h % n for h in first]
+
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_lets_go_of_the_spent_mask_before_the_last_cycle(self, n):
         walk = residues._halving_walk(n)
         for _ in range(len(halving_cycles(n)) - 1):
             next(walk)
-            assert "todo" in walk.gi_frame.f_locals
+            assert {"todo", "subgroup"} <= walk.gi_frame.f_locals.keys()
         next(walk)
-        # the caller lifts the last cycle without the mask alive beside it
-        assert "todo" not in walk.gi_frame.f_locals
+        # the caller lifts the last cycle without the mask or the subgroup alive beside it
+        assert not {"todo", "subgroup"} & walk.gi_frame.f_locals.keys()
         assert next(walk, None) is None
 
 
