@@ -79,8 +79,7 @@ class FullProduct:
 
 def _identity_from_coset(n: int, coset: tuple[int, ...], nu: int) -> GammaProductIdentity:
     """The record of an ascending coset: b counts its elements above n by bisection."""
-    return GammaProductIdentity(n=n, coset=coset, nu=nu,
-                                b=len(coset) - bisect.bisect_right(coset, n))
+    return GammaProductIdentity(n, coset, nu, len(coset) - bisect.bisect_right(coset, n))
 
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:

@@ -57,14 +57,22 @@ def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return rf"\[{lhs} = {rhs}\]"
 
 
+# json.dumps's layout of the record's dict, for exact ints, which %d spells as it does.
+_JSON = ('{"n": %d, "modulus": %d, "coset": %s, "nu": %d, "b": %d, '
+         '"rhs": {"pow2": %d, "pi_half_units": %d}}')
+
+
 def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
+    n, nu, b = identity.n, identity.nu, identity.b
+    if type(n) is type(nu) is type(b) is int:  # not a bool, float or int subclass
+        return _JSON % (n, 2 * n, json.dumps(identity.coset), nu, b, b, nu)
     return json.dumps({
-        "n": identity.n,
+        "n": n,
         "modulus": identity.modulus,
         "coset": identity.coset,
-        "nu": identity.nu,
-        "b": identity.b,
-        "rhs": {"pow2": identity.b, "pi_half_units": identity.nu},
+        "nu": nu,
+        "b": b,
+        "rhs": {"pow2": b, "pi_half_units": nu},
     })
 
 
@@ -82,4 +90,4 @@ def render_identity(identity: GammaProductIdentity, fmt: str = "text",
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     fmt = FORMATS[FORMATS.index(fmt)]  # the table's str, not the caller's str subclass
-    return RenderedIdentity(format=fmt, payload=_RENDERERS[fmt](identity, ascii_symbols))
+    return RenderedIdentity(fmt, _RENDERERS[fmt](identity, ascii_symbols))

@@ -13,16 +13,23 @@ is refused as inconclusive.  An explicit tolerance must be a real number or
 a Decimal, and its float must be positive and finite, since nan fails every
 check, inf passes any record and 0 passes only an exact residual; within
 that it is taken as given, as that float.
+
+Each check fixes its tolerance before taking a term, then hands its lgamma
+terms to _residual_report, the one residual routine.  verify_identity takes
+them off the record's coset after its range check; verify_full_product
+streams the odd half of its own sieve mod 2n into them, so it builds no
+list of units.
 """
 
 import math
 import numbers
+from itertools import compress
 from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DomainError
 from .identities import GammaProductIdentity, full_product_identity
-from .residues import units_mod
+from .residues import _unit_mask
 
 __all__ = [
     "VerificationReport",
@@ -96,34 +103,25 @@ def _check_tolerance(tol: float) -> float:
     raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _residual_report(n: int, xs, rhs_terms: list[float],
-                     tol: float | None) -> VerificationReport:
-    """Report on the sum of ln Gamma(x/2n) over xs plus rhs_terms, the negated closed form."""
-    m = 2 * n
-    if tol is None:
-        tol = default_tolerance(n, len(xs))
-        if tol >= _LN_2 / 2:  # a b off by one shifts the residual by ln 2
-            raise DomainError(f"the check of {len(xs)} terms at n={n} is inconclusive: its "
-                              f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
-    else:
-        tol = _check_tolerance(tol)
-    if not xs:  # only a hand-built record: min would raise a bare ValueError
-        raise DomainError(f"the coset at n={n} is empty; there is nothing to check")
-    coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
-    if not (0 < coset_min and max(xs) < m):  # one range check stands in for log_gamma's
-        log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)
-    lgamma = math.lgamma
-    terms = [lgamma(x / m) for x in xs]
+def _tolerance(n: int, term_count: int, tol: float | None) -> float:
+    """The tolerance of a check of term_count terms, fixed before any term is taken: an
+    explicit one through _check_tolerance, a default refused as inconclusive at ln(2)/2."""
+    if tol is not None:
+        return _check_tolerance(tol)
+    tol = default_tolerance(n, term_count)
+    if tol >= _LN_2 / 2:  # a b off by one shifts the residual by ln 2
+        raise DomainError(f"the check of {term_count} terms at n={n} is inconclusive: its "
+                          f"default tolerance {tol:.3e} reaches ln(2)/2; give an explicit one")
+    return tol
+
+
+def _residual_report(n: int, coset_min: int, terms: list[float], rhs_terms: list[float],
+                     tol: float) -> VerificationReport:
+    """Report on the sum of the lgamma terms plus rhs_terms, the negated closed form."""
+    term_count = len(terms)
     terms.extend(rhs_terms)
     residual = math.fsum(terms)
-    return VerificationReport(
-        n=int(n),
-        coset_min=coset_min,
-        residual=residual,
-        tolerance=tol,
-        passed=abs(residual) <= tol,
-        term_count=len(xs),
-    )
+    return VerificationReport(int(n), coset_min, residual, tol, abs(residual) <= tol, term_count)
 
 
 def verify_identity(identity: GammaProductIdentity,
@@ -135,14 +133,29 @@ def verify_identity(identity: GammaProductIdentity,
     tampered identity simply shows up with a large honest residual (a
     wrong b shifts it by multiples of ln 2).
     """
-    return _residual_report(identity.n, identity.coset,
+    n, xs = identity.n, identity.coset
+    tol = _tolerance(n, len(xs), tol)
+    if not xs:  # only a hand-built record: min would raise a bare ValueError
+        raise DomainError(f"the coset at n={n} is empty; there is nothing to check")
+    m = 2 * n
+    coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
+    if not (0 < coset_min and max(xs) < m):  # one range check stands in for log_gamma's
+        log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)
+    lgamma = math.lgamma
+    return _residual_report(n, coset_min, [lgamma(x / m) for x in xs],
                             [-identity.b * _LN_2, -0.5 * identity.nu * _LN_PI], tol)
 
 
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     """Check the record full_product_identity(n): the product over every unit mod 2n."""
     fp = full_product_identity(n)
-    # The units mod 2n come from their own sieve, not the mask mod n that counted
-    # the record's phi, so a wrong pow2 shows; the tests pin the sieve to a gcd scan.
-    units = units_mod(2 * fp.n)
-    return _residual_report(fp.n, units, [-fp.pow2 * (_LN_2 + _LN_PI)], tol)
+    # The units mod 2n come from their own sieve, not the mask mod n that counted the
+    # record's phi, so a wrong pow2 shows; the tests pin it to a gcd scan.  Every unit is
+    # odd, so the odd half of the sieve streams them ascending into the terms: 1 leads
+    # and every x lies in (0, 2n), so no min, max or range check is needed.
+    m = 2 * fp.n
+    odd_units = _unit_mask(m)[1::2]
+    tol = _tolerance(fp.n, odd_units.count(1), tol)
+    lgamma = math.lgamma
+    return _residual_report(fp.n, 1, [lgamma(x / m) for x in compress(range(1, m, 2), odd_units)],
+                            [-fp.pow2 * (_LN_2 + _LN_PI)], tol)

@@ -7,6 +7,7 @@ import pytest
 
 from gammaprod import (
     FORMATS,
+    OddModulus,
     build_identity,
     enumerate_identities,
     mersenne_identity,
@@ -179,10 +180,18 @@ def _reference_payload(identity, fmt, ascii_symbols):
 
 def test_payloads_match_the_per_factor_reference():
     identities = [i for n in range(3, 600, 2) for i in enumerate_identities(n)]
-    identities.append(dataclasses.replace(N7, n=3, coset=(), b=2))  # hand-built, empty
+    empty = dataclasses.replace(N7, n=3, coset=(), b=2)  # hand-built
+    identities.append(empty)
     for identity in identities:
         for fmt in FORMATS:
             for ascii_symbols in (False, True):
                 assert (render_identity(identity, fmt, ascii_symbols).payload
                         == _reference_payload(identity, fmt, ascii_symbols))
-    assert render_identity(identities[-1]).payload == " = 2^2·π^(3/2)"
+    assert render_identity(empty).payload == " = 2^2·π^(3/2)"
+    # hand-built scalars that are not exact ints, and a negative b, as json.dumps writes them
+    for identity in (dataclasses.replace(N7, b=True), dataclasses.replace(N7, b=1.5),
+                     dataclasses.replace(N7, n=OddModulus(7)), dataclasses.replace(N7, b=-3)):
+        assert (render_identity(identity, "json").payload
+                == _reference_payload(identity, "json", False))
+    assert render_identity(dataclasses.replace(N7, b=True), "json").payload.endswith(
+        '"b": true, "rhs": {"pow2": true, "pi_half_units": 3}}')

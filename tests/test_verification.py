@@ -14,6 +14,7 @@ from gammaprod import (
     build_identity,
     default_tolerance,
     enumerate_identities,
+    full_product_identity,
     halve_mod,
     log_gamma,
     mersenne_identity,
@@ -179,9 +180,9 @@ class TestDefaultTolerance:
         assert nu == 9_995_662 <= residues._MAX_WALK
         assert default_tolerance(n, nu) == pytest.approx(1.0095, abs=1e-4)
         assert default_tolerance(n, nu) > LN2  # would pass a b off by one
-        # a range stands in for the coset: the refusal comes before any term or scan
+        # the tolerance step reads only the count, so the refusal comes before any term
         with pytest.raises(DomainError, match=f"{nu} terms at n={n} is inconclusive"):
-            verification._residual_report(n, range(1, nu + 1), [], None)
+            verification._tolerance(n, nu, None)
 
     def test_no_default_under_the_walk_limit_is_refused(self):
         # the most terms a check of one n <= _MAX_WALK takes is phi(2n) < n
@@ -279,6 +280,21 @@ class TestVerifyFullProduct:
             parts = math.fsum(verify_identity(i).residual for i in enumerate_identities(n))
             phi = len(units_mod(n))
             assert abs(total - parts) <= 1e-12 * phi
+
+    def test_matches_a_report_on_a_gcd_scan(self):
+        # the streamed odd half of the sieve mod 2n against the units a gcd scan finds,
+        # field for field; fsum is correctly rounded, so the residual matches exactly
+        for n in range(3, 2000, 2):
+            m, record = 2 * n, full_product_identity(n)
+            units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+            residual = math.fsum([math.lgamma(x / m) for x in units]
+                                 + [-record.pow2 * (LN2 + LNPI)])
+            tol = default_tolerance(n, len(units))
+            expected = verification.VerificationReport(
+                n=n, coset_min=min(units), residual=residual, tolerance=tol,
+                passed=abs(residual) <= tol, term_count=len(units))
+            assert expected.coset_min == 1 and expected.term_count == record.pi_half_units
+            assert verify_full_product(n) == expected
 
     def test_reads_the_record_it_checks(self, monkeypatch):
         # the check is of full_product_identity's record: a pow2 off by one
