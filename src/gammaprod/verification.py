@@ -23,9 +23,9 @@ list of units.
 
 import math
 import numbers
-from itertools import compress
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import compress
 
 from .errors import DomainError
 from .identities import GammaProductIdentity, full_product_identity
@@ -151,11 +151,11 @@ def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     fp = full_product_identity(n)
     # The units mod 2n come from their own sieve, not the mask mod n that counted the
     # record's phi, so a wrong pow2 shows; the tests pin it to a gcd scan.  Every unit is
-    # odd, so the odd half of the sieve streams them ascending into the terms: 1 leads
-    # and every x lies in (0, 2n), so no min, max or range check is needed.
+    # odd, so the odd half of the sieve streams them ascending into the terms with no
+    # list of units: 1 leads and each x lies in (0, 2n), so no min, max or range check.
     m = 2 * fp.n
-    odd_units = _unit_mask(m)[1::2]
-    tol = _tolerance(fp.n, odd_units.count(1), tol)
+    odd_mask = _unit_mask(m)[1::2]
+    tol = _tolerance(fp.n, odd_mask.count(1), tol)
     lgamma = math.lgamma
-    return _residual_report(fp.n, 1, [lgamma(x / m) for x in compress(range(1, m, 2), odd_units)],
-                            [-fp.pow2 * (_LN_2 + _LN_PI)], tol)
+    terms = [lgamma(x / m) for x in compress(range(1, m, 2), odd_mask)]
+    return _residual_report(fp.n, 1, terms, [-fp.pow2 * (_LN_2 + _LN_PI)], tol)
