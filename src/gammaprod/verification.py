@@ -117,7 +117,8 @@ def _tolerance(n: int, term_count: int, tol: float | None) -> float:
 
 def _residual_report(n: int, coset_min: int, terms: list[float], rhs_terms: list[float],
                      tol: float) -> VerificationReport:
-    """Report on the sum of the lgamma terms plus rhs_terms, the negated closed form."""
+    """Report on the sum of the lgamma terms, a list it extends, plus rhs_terms, the
+    negated closed form."""
     term_count = len(terms)
     terms.extend(rhs_terms)
     residual = math.fsum(terms)

@@ -193,5 +193,3 @@ def test_payloads_match_the_per_factor_reference():
                      dataclasses.replace(N7, n=OddModulus(7)), dataclasses.replace(N7, b=-3)):
         assert (render_identity(identity, "json").payload
                 == _reference_payload(identity, "json", False))
-    assert render_identity(dataclasses.replace(N7, b=True), "json").payload.endswith(
-        '"b": true, "rhs": {"pow2": true, "pi_half_units": 3}}')
