@@ -9,9 +9,11 @@ where nu is the coset size (the multiplicative order of 2 mod n) and b
 counts the elements of A above n.  The right side is stored exactly as the
 integer exponent pair; nothing here touches floating point.
 
-build_identity validates a proposed coset; _coset_identity is the one
-routine that reads a single coset's record off its halving cycle, for
-verify --coset-of and the Mersenne family alike.
+build_identity validates a proposed coset.  enumerate_identities reads
+every coset off the bulk walk, which doubles the lifted subgroup; a single
+coset's n may lie past any sieve, with nu unknown, so _coset_identity reads
+its record off _halving_orbit, for verify --coset-of and the Mersenne family
+alike.
 """
 
 import bisect
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _check_unit, _halving_orbit, _index, _is_unit, _lifts,
+from .residues import (OddModulus, _check_unit, _halving_orbit, _index, _is_unit,
                        _order_of_two, _walkable_mask, coset_decomposition)
 
 __all__ = [
@@ -87,7 +89,8 @@ def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     n = int(OddModulus(n))
     x = _check_unit(x, 2 * n)
     vertices = _halving_orbit(n, x % n)
-    return _identity_from_coset(n, tuple(sorted(_lifts(vertices, n))), len(vertices))
+    coset = tuple(sorted([v if v & 1 else v + n for v in vertices]))
+    return _identity_from_coset(n, coset, len(vertices))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:

@@ -7,12 +7,13 @@ smallest member.  Together this makes every derived listing deterministic.
 
 Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus.  units_mod reads its units
-off it, and the halving walk sieves its own mask and consumes it, clearing
-each cycle's vertices as it goes.  _halving_orbit is the one cycle walk: the
-halving walk runs it on the cycle of 1 alone and reads every later cycle as
-a multiple of that subgroup, and a single coset's record walks its own unit.
-_order_of_two is the one order routine of 2: survey_row and build_identity
-size cosets by it, walking none.
+off it, and the halving walk sieves its own mask, widens it to the units
+mod 2n and consumes it, clearing each cycle's labels as it goes.  The bulk
+walk walks no cycle: it doubles the lifted subgroup up to nu and reads every
+later cycle as a multiple of it mod 2n.  _halving_orbit walks one cycle a
+vertex at a time and serves single cosets, whose record walks its own unit.
+_order_of_two is the one order routine of 2: the halving walk, survey_row
+and build_identity size cosets by it.
 """
 
 import itertools
@@ -129,11 +130,11 @@ class CosetDecomposition:
         raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
-# The walk mod n holds the subgroup and one later cycle, at most about 42 bytes
-# per unit together (64-bit CPython), 0.42 GB at the limit; halving_cycles and
-# coset_decomposition keep every cycle, about 73 and 59 bytes per unit, 0.73
-# and 0.59 GB (tracemalloc peaks at the two-cycle n = 9999991).  units_mod
-# takes the moduli 2n of the walkable n.
+# The walk holds its mask mod 2n, the lifted subgroup and one later cycle, at
+# most about 42 bytes per unit together (64-bit CPython), 0.42 GB at the limit;
+# halving_cycles and coset_decomposition keep every cycle, about 69 and 48 bytes
+# per unit, 0.69 and 0.48 GB (tracemalloc peaks at the two-cycle n = 9999991).
+# units_mod takes the moduli 2n of the walkable n.
 _MAX_WALK = 10**7
 
 
@@ -266,36 +267,47 @@ def _walkable_mask(n: int) -> bytearray:
     return _unit_mask(n)
 
 
-def _halving_walk(n: int) -> Iterator[list[int]]:
-    """Yield the vertices of each halving cycle mod a plain-int n, one at a time.
+def _lifted_subgroup(n: int, nu: int) -> list[int]:
+    """The odd lifts of the halving cycle of 1 mod n, in halving order: the
+    first nu powers of g, the inverse of n+2 mod 2n, built by doubling, since
+    the lift of 2**-(L+i) is the lift of 2**-i times g**L."""
+    m = 2 * n
+    labels, g = [1], pow(n + 2, -1, m)
+    while len(labels) < nu:
+        labels += [x * g % m for x in labels[:nu - len(labels)]]
+        g = g * g % m
+    return labels
 
-    Only the cycle of 1, the subgroup, is walked.  The cycle of any other
-    unit y is the subgroup times y, in the same rotation: halving i times
-    multiplies by 2**-i, so it takes y to y times the i-th vertex of the
-    subgroup.  The walk sieves its own unit mask on the first next() and
-    consumes it: it clears a cycle's vertices, yields the cycle, and reads the
-    next from the smallest unit left, so cycles come in order of their
-    minimum, the cycle of 1 first.  _lifts labels a cycle when a caller needs it.
+
+def _halving_walk(n: int) -> Iterator[list[int]]:
+    """Yield the labels of each halving cycle mod a plain-int n, one at a time.
+
+    A cycle's labels are the odd lifts of its vertices into the units mod 2n,
+    in halving order.  The walk takes nu, the order of 2, from the count of
+    its unit mask and doubles the lifted subgroup, the cycle of 1, up to it.
+    The cycle of any other unit is the subgroup times its least label y, in
+    the same rotation: halving i times multiplies by 2**-i, which the lift
+    carries to multiplication by the i-th label of the subgroup.  The walk
+    sieves its own mask on the first next() and widens it to the odd units
+    mod 2n.  It clears each cycle but the last before yielding it and reads
+    the next from the least unit left, so cycles come in order of their
+    least label, the cycle of 1 first; there are phi // nu of them.
     """
     todo = _walkable_mask(n)
-    subgroup = vertices = _halving_orbit(n, 1)
-    start = 1
-    while True:
-        for v in vertices:
-            todo[v] = 0
+    phi = todo.count(1)
+    subgroup = labels = _lifted_subgroup(n, _order_of_two(n, phi))
+    todo *= 2  # x in [0, 2n) is a unit mod 2n when it is odd and x mod n is a unit
+    todo[::2] = bytes(n)
+    m, start = 2 * n, 1
+    for _ in range(phi // len(subgroup) - 1):
+        for x in labels:
+            todo[x] = 0
+        yield labels
+        del labels  # not alive beside the next cycle
         start = todo.find(1, start + 1)
-        if start == -1:
-            break
-        yield vertices
-        del vertices  # not alive beside the next cycle
-        vertices = [start * h % n for h in subgroup]
-    del todo, subgroup  # spent: not alive while the caller lifts the last cycle
-    yield vertices
-
-
-def _lifts(vertices: list[int], n: int) -> list[int]:
-    """The odd lifts of units mod n into the units mod 2n, in order."""
-    return [v if v & 1 else v + n for v in vertices]
+        labels = [start * h % m for h in subgroup]
+    del todo, subgroup  # spent: not alive while the caller reads the last cycle
+    yield labels
 
 
 def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
@@ -306,8 +318,12 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     exactly the cosets of coset_decomposition(n).
     """
     n = int(OddModulus(n))
-    return tuple(HalvingCycle(vertices=tuple(vertices), labels=tuple(_lifts(vertices, n)))
-                 for vertices in _halving_walk(n))
+    # The walk's order and rotation are the vertices' too: a cycle's least vertex
+    # is odd (an even v has the smaller v/2 in its cycle), so it is its own lift
+    # and the least label.  x - n, not x % n: a label below n shares its int.
+    return tuple(HalvingCycle(vertices=tuple([x if x < n else x - n for x in labels]),
+                              labels=tuple(labels))
+                 for labels in _halving_walk(n))
 
 
 def coset_decomposition(n: int) -> CosetDecomposition:
@@ -321,10 +337,7 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     subgroup itself comes first.
     """
     n = int(OddModulus(n))
-    # Already ordered by first element: a cycle's smallest vertex is odd (an
-    # even v has the smaller v/2 in its cycle), so it is also its smallest lift.
-    cosets = tuple(tuple(sorted(_lifts(vertices, n)))
-                   for vertices in _halving_walk(n))
+    cosets = tuple(tuple(sorted(labels)) for labels in _halving_walk(n))
     nu = len(cosets[0])
     assert all(len(coset) == nu for coset in cosets)
     return CosetDecomposition(n=n, nu=nu, cosets=cosets)

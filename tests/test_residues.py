@@ -493,34 +493,59 @@ class TestHalvingOrbit:
             _halving_orbit(n, y)
 
 
+def lifted_orbit(n, y):
+    """The odd lifts of the halving cycle of y mod n, walked one vertex at a time."""
+    return [v if v & 1 else v + n for v in _halving_orbit(n, y)]
+
+
+class TestLiftedSubgroup:
+    def test_is_the_lifted_cycle_of_one(self):
+        for n in range(3, 3000, 2):
+            nu = multiplicative_order(2, n)
+            assert residues._lifted_subgroup(n, nu) == lifted_orbit(n, 1)
+
+    # each doubles past nu, so the last round keeps only part of its products
+    @pytest.mark.parametrize("n, nu", [(257, 16), (641, 64), (8191, 13), (65537, 32),
+                                       (131071, 17)])
+    def test_at_the_doubling_boundaries(self, n, nu):
+        assert multiplicative_order(2, n) == nu
+        assert residues._lifted_subgroup(n, nu) == lifted_orbit(n, 1)
+
+
 class TestHalvingWalk:
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_is_lazy_and_consumes_its_mask(self, n, monkeypatch):
+        count, units = coset_decomposition(n).coset_count, brute_units(2 * n)
         masks, sieve = [], residues._walkable_mask
         monkeypatch.setattr(residues, "_walkable_mask",
                             lambda m: masks.append(sieve(m)) or masks[-1])
         walk = residues._halving_walk(n)
         assert masks == []  # nothing sieved before the first next()
-        first = next(walk)
-        (mask,) = masks
-        assert first == _halving_orbit(n, 1)
-        # only the cycle of 1 is cleared so far
-        assert [x for x in range(n) if mask[x]] == sorted(set(brute_units(n)) - set(first))
-        rest = list(walk)
-        assert mask == bytearray(n)
-        assert sorted(first + [v for cycle in rest for v in cycle]) == brute_units(n)
+        seen = []
+        for i, labels in enumerate(walk, 1):
+            (mask,) = masks
+            held = [x for x in range(2 * n) if mask[x]]
+            seen += labels
+            if i < count:  # the mask, read mod 2n, loses each cycle before its yield ...
+                assert held == sorted(set(units) - set(seen))
+            else:  # ... but the last, which nothing reads it for again
+                assert held == sorted(labels)
+        assert i == count
+        assert sorted(seen) == units
 
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023, 1048575])
     def test_walks_only_the_cycle_of_one(self, n, monkeypatch):
-        walked, orbit = [], residues._halving_orbit
-        monkeypatch.setattr(residues, "_halving_orbit",
-                            lambda m, y: walked.append(y) or orbit(m, y))
+        # the cycle of 1 is doubled up from nu, so no orbit is walked at all
+        def no_orbit(m, y):
+            raise AssertionError(f"the walk walked the orbit of {y} mod {m}")
+        monkeypatch.setattr(residues, "_halving_orbit", no_orbit)
         first, *rest = residues._halving_walk(n)
-        assert walked == [1]
+        monkeypatch.undo()
+        assert first == lifted_orbit(n, 1)
         # halving i times multiplies by 2**-i: cycle y is the subgroup times y, same rotation
         for cycle in rest:
             y = cycle[0]
-            assert cycle == [y * h % n for h in first]
+            assert cycle == [y * h % (2 * n) for h in first]
 
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_lets_go_of_the_spent_mask_before_the_last_cycle(self, n):
@@ -529,7 +554,7 @@ class TestHalvingWalk:
             next(walk)
             assert {"todo", "subgroup"} <= walk.gi_frame.f_locals.keys()
         next(walk)
-        # the caller lifts the last cycle without the mask or the subgroup alive beside it
+        # the caller reads the last cycle without the mask or the subgroup alive beside it
         assert not {"todo", "subgroup"} & walk.gi_frame.f_locals.keys()
         assert next(walk, None) is None
 
