@@ -57,23 +57,17 @@ def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     return rf"\[{lhs} = {rhs}\]"
 
 
-# json.dumps's layout of the record's dict, for exact ints, which %d spells as it does.
-_JSON = ('{"n": %d, "modulus": %d, "coset": %s, "nu": %d, "b": %d, '
-         '"rhs": {"pow2": %d, "pi_half_units": %d}}')
+# json.dumps's layout of the record's dict, the one spelling of an identity's JSON.
+_JSON = ('{"n": %s, "modulus": %s, "coset": %s, "nu": %s, "b": %s, '
+         '"rhs": {"pow2": %s, "pi_half_units": %s}}')
 
 
 def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     n, nu, b = identity.n, identity.nu, identity.b
-    if type(n) is type(nu) is type(b) is int:  # not a bool, float or int subclass
-        return _JSON % (n, 2 * n, json.dumps(identity.coset), nu, b, b, nu)
-    return json.dumps({
-        "n": n,
-        "modulus": identity.modulus,
-        "coset": identity.coset,
-        "nu": nu,
-        "b": b,
-        "rhs": {"pow2": b, "pi_half_units": nu},
-    })
+    m = 2 * n
+    if not type(n) is type(nu) is type(b) is int:  # a bool, float or int subclass:
+        n, m, nu, b = map(json.dumps, (n, m, nu, b))  # spelled as json.dumps spells it
+    return _JSON % (n, m, json.dumps(identity.coset), nu, b, b, nu)
 
 
 _RENDERERS = {"text": _text, "latex": _latex, "json": _json}

@@ -296,6 +296,7 @@ def _halving_walk(n: int) -> Iterator[list[int]]:
     todo = _walkable_mask(n)
     phi = todo.count(1)
     subgroup = labels = _lifted_subgroup(n, _order_of_two(n, phi))
+    # 2n bytes: masks of n or n/4 bytes timed 10-33% slower and saved little beside the subgroup
     todo *= 2  # x in [0, 2n) is a unit mod 2n when it is odd and x mod n is a unit
     todo[::2] = bytes(n)
     m, start = 2 * n, 1

@@ -4,7 +4,11 @@ Products of Gamma values overflow double precision even for modest moduli,
 so every check happens on logarithms, where the residual of a true identity
 is O(1) and scale-free.  Per-term accuracy is 1e-12 absolute for arguments
 t >= 1e-6, which covers every x/2n with n <= 10**4; term sums are exactly
-rounded (math.fsum), so residuals reflect per-term error only.
+rounded (math.fsum), so residuals reflect per-term error only.  A check
+whose smallest x/2n is not a normal double is refused: below 2**-1022 the
+quotient keeps fewer than 53 bits, so a true identity can read as off by
+ln 2, and once it rounds to 0.0 lgamma has no value there.  For the
+coset of 1 that is every n > 2**1021.
 
 The default pass tolerance is 1e-9 * (1 + terms), loosened by a further
 1 + ln(2n) factor once n exceeds 10**4 and the per-term contract relaxes.
@@ -23,6 +27,7 @@ list of units.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import compress
@@ -76,7 +81,7 @@ def default_tolerance(n: int, term_count: int) -> float:
     """Pass threshold scaled to the term count, relaxed for very large n."""
     tol = 1e-9 * (1 + term_count)
     if n > 10_000:
-        tol *= 1.0 + math.log(2.0 * n)
+        tol *= 1.0 + math.log(2 * n)  # an int of any size, where 2.0 * n overflows
     return tol
 
 
@@ -142,6 +147,9 @@ def verify_identity(identity: GammaProductIdentity,
     coset_min = min(xs)  # the report's coset_min; the range check needs it anyway
     if not (0 < coset_min and max(xs) < m):  # one range check stands in for log_gamma's
         log_gamma(next(x for x in xs if not 0 < x < m) / m)  # raises: x/m is outside (0, 1)
+    if coset_min / m < sys.float_info.min:  # a subnormal x/m keeps too few bits to be checked
+        raise DomainError(f"the check at n={n} is refused: its smallest argument "
+                          f"{coset_min}/2n is not a normal double")
     lgamma = math.lgamma
     return _residual_report(n, coset_min, [lgamma(x / m) for x in xs],
                             [-identity.b * _LN_2, -0.5 * identity.nu * _LN_PI], tol)

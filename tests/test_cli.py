@@ -108,6 +108,13 @@ class TestVerify:
         assert run_cli(["verify", "7", "--coset-of", "15"]) == 2
         assert capsys.readouterr() == ("", "error: 15 is not a unit in (0, 14)\n")
 
+    def test_coset_of_past_the_float_range_is_refused(self, capsys):
+        # 1/2n is 0.0 as a double here, and 2.0 * n overflowed the default tolerance
+        assert run_cli(["verify", str(2**1100 - 1), "--coset-of", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the check at n=")
+        assert err.endswith("smallest argument 1/2n is not a normal double\n")
+
     @pytest.mark.parametrize("n", range(3, 60, 2))
     def test_coset_of_matches_the_full_listing(self, n, capsys):
         assert run_cli(["verify", str(n)]) == 0

@@ -190,6 +190,20 @@ def test_payloads_match_the_per_factor_reference():
     assert render_identity(empty).payload == " = 2^2·π^(3/2)"
     # hand-built scalars that are not exact ints, and a negative b, as json.dumps writes them
     for identity in (dataclasses.replace(N7, b=True), dataclasses.replace(N7, b=1.5),
-                     dataclasses.replace(N7, n=OddModulus(7)), dataclasses.replace(N7, b=-3)):
+                     dataclasses.replace(N7, n=OddModulus(7)), dataclasses.replace(N7, b=-3),
+                     dataclasses.replace(N7, nu=float("nan")),
+                     dataclasses.replace(N7, b=float("inf")), dataclasses.replace(N7, n=7.0)):
         assert (render_identity(identity, "json").payload
                 == _reference_payload(identity, "json", False))
+    assert render_identity(dataclasses.replace(N7, n=7.0), "json").payload.startswith(
+        '{"n": 7.0, "modulus": 14.0, ')
+
+
+def test_a_scalar_json_cannot_write_raises_as_json_dumps_does():
+    np = pytest.importorskip("numpy")
+    identity = dataclasses.replace(N7, b=np.int64(2))
+    with pytest.raises(TypeError) as expected:
+        _reference_payload(identity, "json", False)
+    with pytest.raises(TypeError) as raised:
+        render_identity(identity, "json")
+    assert str(raised.value) == str(expected.value)

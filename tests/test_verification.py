@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -259,6 +260,31 @@ class TestEmptyRecord:
         empty = dataclasses.replace(build_identity(7, [1, 9, 11]), coset=())
         with pytest.raises(DomainError, match=r"^the coset at n=7 is empty"):
             verify_identity(empty, tol)
+
+
+class TestFloatRange:
+    """A Mersenne n = 2**m - 1 puts 1/2n below the normal doubles once m > 1021."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_the_last_normal_smallest_argument_passes(self, tol):
+        report = verify_identity(mersenne_identity(1021), tol)
+        assert report.passed and report.term_count == 1021
+
+    # 1022 took one subnormal term, 1023 had an inf default, 1074 read off by -ln 2 and
+    # 1100 divided to 0.0; each is refused before a term is taken, whatever the tolerance
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    @pytest.mark.parametrize("m", [1022, 1023, 1024, 1074, 1100])
+    def test_a_subnormal_smallest_argument_is_refused(self, m, tol):
+        with pytest.raises(DomainError, match=r"smallest argument 1/2n is not a normal double$"):
+            verify_identity(mersenne_identity(m), tol)
+
+    def test_the_default_reads_an_int_past_the_float_range(self):
+        rng = random.Random(20091)
+        ns = [2**53 - 1, 2**53 + 1, 2**1022 + 1]
+        ns += [rng.getrandbits(rng.randrange(2, 1023)) | 1 for _ in range(2000)]
+        for n in ns:  # bit-identical to the float form wherever 2.0 * n is finite
+            assert math.log(2 * n) == math.log(2.0 * n)
+        assert math.isfinite(default_tolerance(2**1100 - 1, 1100))
 
 
 class TestVerifyFullProduct:
