@@ -1,7 +1,8 @@
 """Command line interface: each subcommand's parser carries its handler as args.run.
 
 Exit codes: 0 on success (everything verified), 1 when a verification or
-claim check fails, 2 on usage or domain errors (message on stderr).
+claim check fails, 2 on usage or domain errors (message on stderr), and 141
+(128 + SIGPIPE, silently) when the reader of stdout closes it early.
 
 The CLI only parses arguments and prints; every coset, record and range
 check comes from the library.
@@ -10,6 +11,7 @@ check comes from the library.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -210,4 +212,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (| head): on devnull, the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -85,12 +85,11 @@ def _identity_from_coset(n: int, coset: tuple[int, ...], nu: int) -> GammaProduc
 
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
-    """The coset record of the unit x mod 2n: its lifted _halving_orbit, bounded by _MAX_WALK."""
+    """The coset record of the unit x mod 2n: _halving_orbit's labels, bounded by _MAX_WALK."""
     n = int(OddModulus(n))
-    x = _check_unit(x, 2 * n)
-    vertices = _halving_orbit(n, x % n)
-    coset = tuple(sorted([v if v & 1 else v + n for v in vertices]))
-    return _identity_from_coset(n, coset, len(vertices))
+    coset = _halving_orbit(n, _check_unit(x, 2 * n))
+    coset.sort()
+    return _identity_from_coset(n, tuple(coset), len(coset))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:

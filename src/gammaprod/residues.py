@@ -10,8 +10,8 @@ multiples of each distinct prime of the modulus.  units_mod reads its units
 off it, and the halving walk sieves its own mask, widens it to the units
 mod 2n and consumes it, clearing each cycle's labels as it goes.  The bulk
 walk walks no cycle: it doubles the lifted subgroup up to nu and reads every
-later cycle as a multiple of it mod 2n.  _halving_orbit walks one cycle a
-vertex at a time and serves single cosets, whose record walks its own unit.
+later cycle as a multiple of it mod 2n.  _halving_orbit serves single cosets:
+it walks one cycle a vertex at a time and returns the coset's labels.
 _order_of_two is the one order routine of 2: the halving walk, survey_row
 and build_identity size cosets by it.
 """
@@ -130,10 +130,10 @@ class CosetDecomposition:
         raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
-# The walk holds its mask mod 2n, the lifted subgroup and one later cycle, at
-# most about 42 bytes per unit together (64-bit CPython), 0.42 GB at the limit;
-# halving_cycles and coset_decomposition keep every cycle, about 69 and 48 bytes
-# per unit, 0.69 and 0.48 GB (tracemalloc peaks at the two-cycle n = 9999991).
+# Tracemalloc peaks per unit at the two-cycle n = 9999991 (64-bit CPython): the walk
+# holds its mask mod 2n, the lifted subgroup and one later cycle, about 42 bytes, 0.42 GB
+# at the limit; halving_cycles and coset_decomposition keep every cycle, about 69 and 48;
+# a single coset's record holds its labels and their tuple, about 49 per element, 0.49 GB.
 # units_mod takes the moduli 2n of the walkable n.
 _MAX_WALK = 10**7
 
@@ -246,17 +246,18 @@ def halve_mod(y: int, n: int) -> int:
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
 
-def _halving_orbit(n: int, y: int) -> list[int]:
-    """The halving cycle of the unit y mod a plain-int n, starting at y.
-    Halving permutes the units, so no step needs a unit check; a cycle over
-    _MAX_WALK vertices raises DomainError, naming the coset it lifts to."""
-    vertices, v = [], y
+def _halving_orbit(n: int, x: int) -> list[int]:
+    """The coset of the unit x mod 2n, a plain-int n, as labels in halving order from x:
+    the odd lifts of the halving cycle of x % n.  Halving permutes the units, so no step
+    needs a unit check; a coset over _MAX_WALK elements raises DomainError naming x."""
+    labels = []
+    y = v = x % n
     for _ in itertools.repeat(None, _MAX_WALK):
-        vertices.append(v)
+        labels.append(v if v & 1 else v + n)
         v = (v + n) >> 1 if v & 1 else v >> 1
         if v == y:
-            return vertices
-    raise DomainError(f"the coset of {y if y & 1 else y + n} is too large to enumerate; "
+            return labels
+    raise DomainError(f"the coset of {x} is too large to enumerate; "
                       f"the limit is {_MAX_WALK} elements")
 
 

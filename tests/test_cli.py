@@ -424,6 +424,19 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert (proc.stdout, proc.returncode, proc.stderr) == (expected, 0, "")
 
 
+def test_a_reader_that_leaves_early_ends_the_cli_with_141_and_no_traceback():
+    # as `gammaprod verify --max 999 | head -1` does; exit 1 would read as a failed check
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "gammaprod", "verify", "--max", "999"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"PASS n=3 ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
 ENTRY_CASES = [(["identities", "7"], 0), (["verify", "7", "--tol", "1e-30"], 1),
                (["decompose", "4"], 2)]
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +337,20 @@ class TestMersenne:
         identity = mersenne_identity(m)
         assert (identity.nu, identity.b) == (m, m - 1)
         assert identity.coset[0] == 1 and identity.coset[-1] == 2 ** (m - 1) + 2 ** m - 1
+
+
+def test_a_single_coset_holds_one_list_of_its_labels():
+    # the labels and their tuple, about 48 bytes per element; a second list of the
+    # coset beside them (the vertices, then their lifts) took about 77
+    n = 1000003
+    tracemalloc.start()
+    try:
+        identity = identities._coset_identity(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert identity.nu == n - 1
+    assert peak < 60 * identity.nu
 
 
 class TestFullProduct:

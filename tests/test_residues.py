@@ -477,39 +477,36 @@ class TestHalvingCycles:
 
 class TestHalvingOrbit:
     def test_is_the_cycle_rotated_to_start_at_y(self):
+        # the labels of the coset of each unit x mod 2n, led by x, in halving order
         for n in range(3, 600, 2):
             for cycle in halving_cycles(n):
-                vertices = list(cycle.vertices)
-                for i, y in enumerate(vertices):
-                    assert _halving_orbit(n, y) == vertices[i:] + vertices[:i]
+                labels = list(cycle.labels)
+                for i, x in enumerate(labels):
+                    assert _halving_orbit(n, x) == labels[i:] + labels[:i]
 
-    @pytest.mark.parametrize("n, y", [(3, 2), (7, 3), (31, 16), (43, 5), (99, 98), (1023, 1)])
-    def test_limit_is_the_longest_cycle_walked(self, n, y, monkeypatch):
-        cycle = _halving_orbit(n, y)
-        monkeypatch.setattr(residues, "_MAX_WALK", len(cycle))
-        assert _halving_orbit(n, y) == cycle
-        monkeypatch.setattr(residues, "_MAX_WALK", len(cycle) - 1)
-        with pytest.raises(DomainError, match=f"the limit is {len(cycle) - 1} elements"):
-            _halving_orbit(n, y)
-
-
-def lifted_orbit(n, y):
-    """The odd lifts of the halving cycle of y mod n, walked one vertex at a time."""
-    return [v if v & 1 else v + n for v in _halving_orbit(n, y)]
+    @pytest.mark.parametrize("n, x", [(3, 5), (7, 3), (31, 47), (43, 5), (99, 197), (1023, 1)])
+    def test_limit_is_the_longest_cycle_walked(self, n, x, monkeypatch):
+        coset = _halving_orbit(n, x)
+        monkeypatch.setattr(residues, "_MAX_WALK", len(coset))
+        assert _halving_orbit(n, x) == coset
+        monkeypatch.setattr(residues, "_MAX_WALK", len(coset) - 1)
+        with pytest.raises(DomainError, match=f"^the coset of {x} is too large to enumerate; "
+                                              f"the limit is {len(coset) - 1} elements$"):
+            _halving_orbit(n, x)
 
 
 class TestLiftedSubgroup:
     def test_is_the_lifted_cycle_of_one(self):
         for n in range(3, 3000, 2):
             nu = multiplicative_order(2, n)
-            assert residues._lifted_subgroup(n, nu) == lifted_orbit(n, 1)
+            assert residues._lifted_subgroup(n, nu) == _halving_orbit(n, 1)
 
     # each doubles past nu, so the last round keeps only part of its products
     @pytest.mark.parametrize("n, nu", [(257, 16), (641, 64), (8191, 13), (65537, 32),
                                        (131071, 17)])
     def test_at_the_doubling_boundaries(self, n, nu):
         assert multiplicative_order(2, n) == nu
-        assert residues._lifted_subgroup(n, nu) == lifted_orbit(n, 1)
+        assert residues._lifted_subgroup(n, nu) == _halving_orbit(n, 1)
 
 
 class TestHalvingWalk:
@@ -541,7 +538,7 @@ class TestHalvingWalk:
         monkeypatch.setattr(residues, "_halving_orbit", no_orbit)
         first, *rest = residues._halving_walk(n)
         monkeypatch.undo()
-        assert first == lifted_orbit(n, 1)
+        assert first == _halving_orbit(n, 1)
         # halving i times multiplies by 2**-i: cycle y is the subgroup times y, same rotation
         for cycle in rest:
             y = cycle[0]
