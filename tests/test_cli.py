@@ -409,12 +409,16 @@ class TestUsage:
         assert run_cli(["decompose", "seven"]) == 2
 
 
-def _python_m_gammaprod(*argv):
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _python_m_gammaprod(*argv):
     return subprocess.run([sys.executable, "-m", "gammaprod", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -426,11 +430,8 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 def test_a_reader_that_leaves_early_ends_the_cli_with_141_and_no_traceback():
     # as `gammaprod verify --max 999 | head -1` does; exit 1 would read as a failed check
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen([sys.executable, "-m", "gammaprod", "verify", "--max", "999"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     assert proc.stdout.readline().startswith(b"PASS n=3 ")
     proc.stdout.close()
     stderr = proc.stderr.read()
