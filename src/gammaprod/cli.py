@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import DomainError, GammaprodError
 from .identities import (_coset_identity, enumerate_identities, full_product_identity,
                          mersenne_identity)
-from .render import FORMATS, render_identity
+from .render import FORMATS, _lhs, render_identity
 from .residues import coset_decomposition
 from .survey import ClaimReport, _odd_moduli, check_reference_claims, survey_range
 from .verification import _check_tolerance, verify_full_product, verify_identity
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _coset_text(coset) -> str:
-    return "(" + ",".join(map(str, coset)) + ")"
+    return "(" + _lhs(coset, "", "", ",") + ")"
 
 
 def _report_line(report, what: str) -> str:

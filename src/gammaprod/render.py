@@ -4,7 +4,9 @@ Conventions shared by all formats: numerators ascending, unit factors
 (2**0, pi**0) omitted, 2**1 and pi**1 written bare, and any other exponent
 printed with its sign, as the record holds it.  JSON field names are a
 stable external contract; payloads are single lines so streams of
-identities come out newline-delimited.
+identities come out newline-delimited.  Text and latex spell their
+numerators through _lhs, one %-template per list, which the CLI's
+decompose and verify lines share; JSON spells its coset with json.dumps.
 """
 
 import json
@@ -39,8 +41,14 @@ def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
 
 
 def _lhs(coset: tuple[int, ...], head: str, tail: str, times: str) -> str:
-    """head + x + tail for each numerator x, joined by times, in one str.join."""
-    return head + (tail + times + head).join(map(str, coset)) + tail if coset else ""
+    """head + str(x) + tail for each numerator x, joined by times; "" if none.
+
+    One %-template, the piece head %s tail repeated per numerator with every
+    literal % doubled, so the formatter writes each str(x) into the result
+    and no str object is kept per element.
+    """
+    piece = head.replace("%", "%%") + "%s" + tail.replace("%", "%%")
+    return times.replace("%", "%%").join([piece] * len(coset)) % tuple(coset)
 
 
 def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:

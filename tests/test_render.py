@@ -178,10 +178,23 @@ def _reference_payload(identity, fmt, ascii_symbols):
     })
 
 
+class _Numeral(int):
+    """An int subclass whose str is its own, to be spelled as str() spells it."""
+
+    def __str__(self):
+        return f"<{int(self)}>"
+
+
 def test_payloads_match_the_per_factor_reference():
-    identities = [i for n in range(3, 600, 2) for i in enumerate_identities(n)]
+    identities = [i for n in range(3, 2000, 2) for i in enumerate_identities(n)]
     empty = dataclasses.replace(N7, n=3, coset=(), b=2)  # hand-built
     identities.append(empty)
+    # hand-built lists: a list, one element, non-int and %-bearing elements, and
+    # n = "%d", whose modulus spells %d%d inside the template's literal text
+    identities += [dataclasses.replace(N7, coset=coset) for coset in (
+        [1, 9, 11], (1,), (True, 1.5, float("nan")), (_Numeral(1), 9, _Numeral(11)),
+        ("7%s", 9), ((1, 2), 9))]
+    identities.append(dataclasses.replace(N7, n="%d"))
     for identity in identities:
         for fmt in FORMATS:
             for ascii_symbols in (False, True):
