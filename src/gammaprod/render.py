@@ -43,12 +43,12 @@ def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
 def _lhs(coset: tuple[int, ...], head: str, tail: str, times: str) -> str:
     """head + str(x) + tail for each numerator x, joined by times; "" if none.
 
-    One %-template, the piece head %s tail repeated per numerator with every
-    literal % doubled, so the formatter writes each str(x) into the result
-    and no str object is kept per element.
+    One %-template, the piece head %s tail (any % in head or tail doubled)
+    repeated per numerator, so the formatter writes each str(x) into the
+    result and no str object is kept per element.
     """
     piece = head.replace("%", "%%") + "%s" + tail.replace("%", "%%")
-    return times.replace("%", "%%").join([piece] * len(coset)) % tuple(coset)
+    return times.join([piece] * len(coset)) % tuple(coset)
 
 
 def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:

@@ -141,11 +141,11 @@ def survey_row(n: int) -> SurveyRow:
 
 # verify --max N walks the units of every odd n <= N, about 0.203 * N**2 of
 # them: 2e9 at this bound.  On a 2 vCPU Intel Xeon with Python 3.11.7 it took
-# 17.5 s at N = 10**4 and 64 s at 2 * 10**4 (cold, one run each), a step of
-# N**1.86; extrapolated by that power or by N**2, about 21-27 minutes at this
-# bound.  It prints every coset, about 5.3 bytes of stdout per unit: 108 MB
-# at 10**4, 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps
-# time, not output.  survey walks no cycle: 18 s at this bound on the same host.
+# 7.6 s at N = 10**4 (cold, two runs) and 29.8 s at 2 * 10**4 (one run), a
+# step of N**1.97; extrapolated by N**2, about 12 minutes at this bound.  It
+# prints every coset, about 5.3 bytes of stdout per unit: 108 MB at 10**4,
+# 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps time, not
+# output.  survey walks no cycle: 9.5 s at this bound on the same host.
 _MAX_SWEEP = 10**5
 
 
