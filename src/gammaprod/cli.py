@@ -16,10 +16,8 @@ import sys
 from typing import Sequence
 
 from .errors import DomainError, GammaprodError
-from .identities import (_coset_identity, enumerate_identities, full_product_identity,
-                         mersenne_identity)
-from .render import FORMATS, _lhs, render_identity
-from .residues import coset_decomposition
+from .identities import _coset_identity, _identities, full_product_identity, mersenne_identity
+from .render import FORMATS, _spell, render_identity
 from .survey import ClaimReport, _odd_moduli, check_reference_claims, survey_range
 from .verification import _check_tolerance, verify_full_product, verify_identity
 
@@ -81,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _coset_text(coset) -> str:
-    return "(" + _lhs(coset, "", "", ",") + ")"
+    return _spell(coset, "(", "", "", ",", ")")
 
 
 def _report_line(report, what: str) -> str:
@@ -90,13 +88,13 @@ def _report_line(report, what: str) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    for coset in coset_decomposition(args.n).cosets:
-        print(_coset_text(coset))
+    for identity in _identities(args.n):
+        print(_coset_text(identity.coset))
     return 0
 
 
 def _cmd_identities(args) -> int:
-    for identity in enumerate_identities(args.n):
+    for identity in _identities(args.n):
         print(render_identity(identity, args.format, ascii_symbols=args.ascii).payload)
     return 0
 
@@ -118,8 +116,7 @@ class _Tally:
 
 def _verify_cosets(n, tol, tally: _Tally, coset_of=None) -> None:
     """Verify and print the identities for n, or only the coset of coset_of, into tally."""
-    identities = (enumerate_identities(n) if coset_of is None
-                  else (_coset_identity(n, coset_of),))
+    identities = _identities(n) if coset_of is None else (_coset_identity(n, coset_of),)
     for identity in identities:
         report = verify_identity(identity, tol)
         tally.add(report)

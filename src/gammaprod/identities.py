@@ -9,21 +9,21 @@ where nu is the coset size (the multiplicative order of 2 mod n) and b
 counts the elements of A above n.  The right side is stored exactly as the
 integer exponent pair; nothing here touches floating point.
 
-build_identity validates a proposed coset.  enumerate_identities reads
-every coset off the bulk walk, which doubles the lifted subgroup; a single
-coset's n may lie past any sieve, with nu unknown, so _coset_identity reads
-its record off _halving_orbit, for verify --coset-of and the Mersenne family
-alike.
+build_identity validates a proposed coset.  _identities yields the records
+one cycle of the bulk walk at a time, so the CLI holds one coset while it
+prints.  A single coset's n may lie past any sieve, with nu unknown, so
+_coset_identity reads its record off _halving_orbit.  _identity_from_coset
+sorts every path's labels into the ascending record.
 """
 
 import bisect
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _check_unit, _halving_orbit, _index, _is_unit,
-                       _order_of_two, _walkable_mask, coset_decomposition)
+from .residues import (OddModulus, _check_unit, _halving_orbit, _halving_walk, _index,
+                       _is_unit, _order_of_two, _walkable_mask)
 
 __all__ = [
     "Rhs",
@@ -79,17 +79,25 @@ class FullProduct:
     pi_half_units: int
 
 
-def _identity_from_coset(n: int, coset: tuple[int, ...], nu: int) -> GammaProductIdentity:
-    """The record of an ascending coset: b counts its elements above n by bisection."""
+def _identity_from_coset(n: int, labels: list[int], nu: int) -> GammaProductIdentity:
+    """The record of a coset's labels, sorted in place; it empties the list, which a walk holds."""
+    labels.sort()
+    coset = tuple(labels)
+    labels.clear()
     return GammaProductIdentity(n, coset, nu, len(coset) - bisect.bisect_right(coset, n))
 
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: _halving_orbit's labels, bounded by _MAX_WALK."""
     n = int(OddModulus(n))
-    coset = _halving_orbit(n, _check_unit(x, 2 * n))
-    coset.sort()
-    return _identity_from_coset(n, tuple(coset), len(coset))
+    labels = _halving_orbit(n, _check_unit(x, 2 * n))
+    return _identity_from_coset(n, labels, len(labels))
+
+
+def _identities(n: int) -> Iterator[GammaProductIdentity]:
+    """One record per cycle of _halving_walk, in coset order, as the walk yields it."""
+    n = int(OddModulus(n))
+    return (_identity_from_coset(n, labels, len(labels)) for labels in _halving_walk(n))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
@@ -115,7 +123,7 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     nu = None  # stays None unless the set is closed
     if (elems and _is_unit(elems[0], m) and {x * g % m for x in elems} == set(elems)
             and len(elems) == (nu := _order_of_two(n, len(elems))) and pow(2, nu, n) == 1):
-        return _identity_from_coset(n, tuple(elems), nu)
+        return _identity_from_coset(n, elems, nu)
     raise InvalidCosetError(_coset_fault(m, given, elems, nu))
 
 
@@ -142,9 +150,7 @@ def _coset_fault(m: int, given: list, elems: list[int], nu: int | None) -> str:
 
 def enumerate_identities(n: int) -> tuple[GammaProductIdentity, ...]:
     """One identity per coset, in coset order (smallest element first)."""
-    decomp = coset_decomposition(n)
-    return tuple(_identity_from_coset(decomp.n, coset, decomp.nu)
-                 for coset in decomp.cosets)
+    return tuple(_identities(n))
 
 
 def complement_identity(identity: GammaProductIdentity) -> GammaProductIdentity:
@@ -154,8 +160,7 @@ def complement_identity(identity: GammaProductIdentity) -> GammaProductIdentity:
     two: the mirror of an identity with exponent b has exponent nu - b.
     """
     n = identity.n
-    mirrored = tuple(sorted(2 * n - x for x in identity.coset))
-    return _identity_from_coset(n, mirrored, identity.nu)
+    return _identity_from_coset(n, [2 * n - x for x in identity.coset], identity.nu)
 
 
 def is_self_complementary(identity: GammaProductIdentity) -> bool:

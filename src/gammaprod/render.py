@@ -4,9 +4,9 @@ Conventions shared by all formats: numerators ascending, unit factors
 (2**0, pi**0) omitted, 2**1 and pi**1 written bare, and any other exponent
 printed with its sign, as the record holds it.  JSON field names are a
 stable external contract; payloads are single lines so streams of
-identities come out newline-delimited.  Text and latex spell their
-numerators through _lhs, one %-template per list, which the CLI's
-decompose and verify lines share; JSON spells its coset with json.dumps.
+identities come out newline-delimited.  Text and latex spell each payload
+through _spell, one %-template per list, which the CLI's decompose and
+verify lines share; JSON spells its coset with json.dumps.
 """
 
 import json
@@ -40,29 +40,29 @@ def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
     return times.join(factors) if factors else "1"
 
 
-def _lhs(coset: tuple[int, ...], head: str, tail: str, times: str) -> str:
-    """head + str(x) + tail for each numerator x, joined by times; "" if none.
+def _spell(coset: tuple[int, ...], start: str, head: str, tail: str, times: str, end: str) -> str:
+    """start, then head + str(x) + tail for each x of coset joined by times, then end.
 
-    One %-template, the piece head %s tail (any % in head or tail doubled)
-    repeated per numerator, so the formatter writes each str(x) into the
-    result and no str object is kept per element.
+    One %-template (any % in the fixed text doubled): the formatter writes each
+    str(x) into the payload, with no str per element and no second copy of the list.
     """
     piece = head.replace("%", "%%") + "%s" + tail.replace("%", "%%")
-    return times.join([piece] * len(coset)) % tuple(coset)
+    return (start.replace("%", "%%") + times.join([piece] * len(coset))
+            + end.replace("%", "%%")) % tuple(coset)
 
 
 def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
     gamma = "Gamma" if ascii_symbols else "Γ"
     times = "*" if ascii_symbols else "·"
     pi_sym = "pi" if ascii_symbols else "π"
-    lhs = _lhs(identity.coset, f"{gamma}(", f"/{identity.modulus})", times)
-    return f"{lhs} = {_rhs(identity.b, identity.nu, times, pi_sym, latex=False)}"
+    rhs = _rhs(identity.b, identity.nu, times, pi_sym, latex=False)
+    return _spell(identity.coset, "", f"{gamma}(", f"/{identity.modulus})", times, f" = {rhs}")
 
 
 def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
-    lhs = _lhs(identity.coset, r"\Gamma\left(\frac{", rf"}}{{{identity.modulus}}}\right)", "")
     rhs = _rhs(identity.b, identity.nu, "", r"\pi", latex=True)
-    return rf"\[{lhs} = {rhs}\]"
+    return _spell(identity.coset, r"\[", r"\Gamma\left(\frac{",
+                  rf"}}{{{identity.modulus}}}\right)", "", rf" = {rhs}\]")
 
 
 # json.dumps's layout of the record's dict, the one spelling of an identity's JSON.

@@ -9,11 +9,11 @@ Units are never found one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus.  units_mod reads its units
 off it, and the halving walk sieves its own mask, widens it to the units
 mod 2n and consumes it, clearing each cycle's labels as it goes.  The bulk
-walk walks no cycle: it doubles the lifted subgroup up to nu and reads every
-later cycle as a multiple of it mod 2n.  _halving_orbit serves single cosets:
-it walks one cycle a vertex at a time and returns the coset's labels.
-_order_of_two is the one order routine of 2: the halving walk, survey_row
-and build_identity size cosets by it.
+walk walks no cycle: it doubles the lifted subgroup up to nu and yields a
+copy, then each later cycle as a multiple of it mod 2n, one at a time.
+_halving_orbit serves single cosets: it walks one cycle a vertex at a time
+and returns the coset's labels.  _order_of_two is the one order routine of
+2: the halving walk, survey_row and build_identity size cosets by it.
 """
 
 import itertools
@@ -130,11 +130,11 @@ class CosetDecomposition:
         raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
-# Tracemalloc peaks per unit at the two-cycle n = 9999991 (64-bit CPython): the walk
-# holds its mask mod 2n, the lifted subgroup and one later cycle, about 42 bytes, 0.42 GB
-# at the limit; halving_cycles and coset_decomposition keep every cycle, about 69 and 48;
-# a single coset's record holds its labels and their tuple, about 49 per element, 0.49 GB.
-# units_mod takes the moduli 2n of the walkable n.
+# Tracemalloc peaks per unit at the two-cycle n = 9999991 (64-bit CPython): the walk, and
+# _identities, which the CLI prints from, hold the mask mod 2n, the subgroup and one later
+# cycle, about 42 bytes, 0.42 GB at the limit; halving_cycles, coset_decomposition and
+# enumerate_identities keep every cycle, about 69, 48 and 46; a single coset's record holds
+# its labels and their tuple, 49 per element.  units_mod takes the moduli 2n of walkable n.
 _MAX_WALK = 10**7
 
 
@@ -292,11 +292,13 @@ def _halving_walk(n: int) -> Iterator[list[int]]:
     sieves its own mask on the first next() and widens it to the odd units
     mod 2n.  It clears each cycle but the last before yielding it and reads
     the next from the least unit left, so cycles come in order of their
-    least label, the cycle of 1 first; there are phi // nu of them.
+    least label, the cycle of 1 first; there are phi // nu of them.  The
+    caller may sort or empty any list: the first copies the walk's subgroup.
     """
     todo = _walkable_mask(n)
     phi = todo.count(1)
-    subgroup = labels = _lifted_subgroup(n, _order_of_two(n, phi))
+    subgroup = _lifted_subgroup(n, _order_of_two(n, phi))
+    labels = subgroup.copy()
     # 2n bytes: masks of n or n/4 bytes timed 10-33% slower and saved little beside the subgroup
     todo *= 2  # x in [0, 2n) is a unit mod 2n when it is odd and x mod n is a unit
     todo[::2] = bytes(n)
@@ -339,7 +341,7 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     subgroup itself comes first.
     """
     n = int(OddModulus(n))
-    cosets = tuple(tuple(sorted(labels)) for labels in _halving_walk(n))
+    cosets = tuple(map(tuple, map(sorted, _halving_walk(n))))
     nu = len(cosets[0])
     assert all(len(coset) == nu for coset in cosets)
     return CosetDecomposition(n=n, nu=nu, cosets=cosets)

@@ -1,11 +1,13 @@
 """Command line behaviour: grammar, output shapes, exit codes."""
 
 import gc
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -436,6 +438,42 @@ def test_a_reader_that_leaves_early_ends_the_cli_with_141_and_no_traceback():
     proc.stdout.close()
     stderr = proc.stderr.read()
     assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
+def test_decompose_holds_one_coset_at_a_time():
+    # 356,960 cosets of 23: holding every coset before the first line peaked at 364 MB
+    proc = subprocess.Popen([sys.executable, "-m", "gammaprod", "decompose", "8388607"],
+                            stdout=subprocess.PIPE, env=_src_env())
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        sha = hashlib.sha256()
+        while chunk := proc.stdout.read(1 << 20):
+            sha.update(chunk)
+        proc.stdout.close()
+        # the child's own peak: RUSAGE_CHILDREN would report the largest child ever waited for
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    assert proc.returncode == 0
+    assert sha.hexdigest() == "71ffb546437ebc8a5105c9b08b54d1bf7c97771f520bd5cdfcc745d016ab9849"
+    peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)  # bytes or KiB
+    assert peak_mb < 100
+
+
+PER_N_COMMANDS = [["decompose"], *(["identities", "--format", fmt] for fmt in FORMATS),
+                  ["verify"]]
+
+
+@pytest.mark.parametrize("n", ["10000001", "10"])  # past the walk's bound, and even
+@pytest.mark.parametrize("command", PER_N_COMMANDS, ids=" ".join)
+def test_a_refused_per_n_command_prints_nothing(command, n, capsys):
+    # each refusal fires before the first record: the walk's bound at its first next()
+    assert run_cli([command[0], n, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 ENTRY_CASES = [(["identities", "7"], 0), (["verify", "7", "--tol", "1e-30"], 1),

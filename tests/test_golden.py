@@ -51,6 +51,14 @@ GROUPS = {
         ["verify", "199", "--coset-of", "3", "--tol", "1e-30"],  # a long coset misses: exit 1
         ["verify", "7", "--tol", "-1e-9"],  # the tolerance refusal: exit 2
     ],
+    # the prime 1000003 has one coset of 1,000,002; 2**20 - 1 has 24,000 cosets of 20.
+    # No verify: past n = 10**4 its unmasked tol= goes through libm's math.log.
+    "large-n": [
+        ["decompose", "1000003"],
+        *(["identities", "1000003", "--format", fmt] for fmt in FORMATS),
+        ["decompose", "1048575"],
+        ["identities", "1048575", "--format", "json"],
+    ],
     "refusals": [
         ["decompose", str(2**61 - 1)],
         ["verify", str(2**61 - 1)],
@@ -68,6 +76,7 @@ DIGESTS = {
     "identities-json": "01280c375f774566b15b037e578c8b93ef0b27d0ec177ab3e489b0d476935efd",
     "identities-latex": "390694bf00e8bb574593cdae45bc9af3df3ae60a9ac88a7260a1a2e21ae03249",
     "identities-text": "f5629a3a25daa859a17cca155ca90b34164495f46c2d01d3e22bba0d24d3c034",
+    "large-n": "a8fccbebeba93cc091ec2358fbe89e458aa99e134895e220c6a8ef3ce66175a6",
     "mersenne-json": "903445d827d296af1e671faebda85cdd962855cb4bfd5662a47117d1f826da95",
     "mersenne-latex": "eab0baa7ee0acd4d51c102fd5d88ef40ef059d63b36ae2bcc783ea42841d2351",
     "mersenne-text": "27f3b2f8fa227ae55c823cb80b371152d241139ae4b3d7230a2236e0dfd6dcce",

@@ -253,8 +253,10 @@ class TestEnumerate:
         assert len(enumerate_identities(43)) == 3
 
     def test_agrees_with_build(self):
-        for n in (7, 15, 31):
-            for identity in enumerate_identities(n):
+        for n in range(3, 1200, 2):
+            identities = enumerate_identities(n)
+            assert [i.coset for i in identities] == list(coset_decomposition(n).cosets)
+            for identity in identities:
                 assert identity == build_identity(n, identity.coset)
 
 

@@ -182,7 +182,7 @@ class _Numeral(int):
     """An int subclass whose str is its own, to be spelled as str() spells it."""
 
     def __str__(self):
-        return f"<{int(self)}>"
+        return f"<{int(self)}%>"
 
 
 def test_payloads_match_the_per_factor_reference():
@@ -195,6 +195,7 @@ def test_payloads_match_the_per_factor_reference():
         [1, 9, 11], (1,), (True, 1.5, float("nan")), (_Numeral(1), 9, _Numeral(11)),
         ("7%s", 9), ((1, 2), 9))]
     identities.append(dataclasses.replace(N7, n="%d"))
+    identities.append(dataclasses.replace(N7, b=_Numeral(5), nu=_Numeral(3)))  # % on the right
     for identity in identities:
         for fmt in FORMATS:
             for ascii_symbols in (False, True):
