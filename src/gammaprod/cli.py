@@ -78,18 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coset_text(coset) -> str:
-    return _spell(coset, "(", "", "", ",", ")")
-
-
-def _report_line(report, what: str) -> str:
-    return (f"{'PASS' if report.passed else 'FAIL'} n={report.n} {what} "
-            f"residual={report.residual:+.3e} tol={report.tolerance:.3e}")
+def _report_line(report, coset=None) -> str:
+    """One verify line; a coset is spelled inside the line's one %-fill, never copied."""
+    start = f"{'PASS' if report.passed else 'FAIL'} n={report.n} "
+    end = f" residual={report.residual:+.3e} tol={report.tolerance:.3e}"
+    if coset is None:
+        return f"{start}full-product{end}"
+    return _spell(coset, start + "coset=(", "", "", ",", ")" + end)
 
 
 def _cmd_decompose(args) -> int:
     for identity in _identities(args.n):
-        print(_coset_text(identity.coset))
+        print(_spell(identity.coset, "(", "", "", ",", ")"))
     return 0
 
 
@@ -120,7 +120,7 @@ def _verify_cosets(n, tol, tally: _Tally, coset_of=None) -> None:
     for identity in identities:
         report = verify_identity(identity, tol)
         tally.add(report)
-        print(_report_line(report, f"coset={_coset_text(identity.coset)}"))
+        print(_report_line(report, identity.coset))
 
 
 def _cmd_verify(args) -> int:
@@ -138,7 +138,7 @@ def _cmd_verify(args) -> int:
         _verify_cosets(n, args.tol, cosets)
         full = verify_full_product(n, args.tol)
         fulls.add(full)
-        print(_report_line(full, "full-product"))
+        print(_report_line(full))
     failures = cosets.failures + fulls.failures
     print(f"{cosets.checked + fulls.checked} products checked up to n={args.max_n}, "
           f"{failures} failures")

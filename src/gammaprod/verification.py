@@ -18,11 +18,11 @@ a Decimal, and its float must be positive and finite, since nan fails every
 check, inf passes any record and 0 passes only an exact residual; within
 that it is taken as given, as that float.
 
-Each check fixes its tolerance before taking a term, then hands its lgamma
-terms to _residual_report, the one residual routine.  verify_identity takes
-them off the record's coset after its range check; verify_full_product
-streams the odd half of its own sieve mod 2n into them, so it builds no
-list of units.
+Each check first fixes its term count and tolerance, then hands both and
+a generator of its lgamma terms to _residual_report, the one residual
+routine, whose fsum adds each term as it is taken.  verify_identity takes
+them off the record's coset after its range check, verify_full_product off
+the odd half of its own sieve mod 2n; neither holds a list of terms.
 """
 
 import math
@@ -30,7 +30,8 @@ import numbers
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import compress
+from itertools import chain, compress
+from typing import Iterable
 
 from .errors import DomainError
 from .identities import GammaProductIdentity, full_product_identity
@@ -120,13 +121,11 @@ def _tolerance(n: int, term_count: int, tol: float | None) -> float:
     return tol
 
 
-def _residual_report(n: int, coset_min: int, terms: list[float], rhs_terms: list[float],
-                     tol: float) -> VerificationReport:
-    """Report on the sum of the lgamma terms, a list it extends, plus rhs_terms, the
-    negated closed form."""
-    term_count = len(terms)
-    terms.extend(rhs_terms)
-    residual = math.fsum(terms)
+def _residual_report(n: int, coset_min: int, term_count: int, terms: Iterable[float],
+                     rhs_terms: list[float], tol: float) -> VerificationReport:
+    """Report on the sum of term_count lgamma terms, taken from the iterable as fsum adds
+    them, plus rhs_terms, the negated closed form."""
+    residual = math.fsum(chain(terms, rhs_terms))
     return VerificationReport(int(n), coset_min, residual, tol, abs(residual) <= tol, term_count)
 
 
@@ -140,7 +139,7 @@ def verify_identity(identity: GammaProductIdentity,
     wrong b shifts it by multiples of ln 2).
     """
     n, xs = identity.n, identity.coset
-    tol = _tolerance(n, len(xs), tol)
+    tol = _tolerance(n, term_count := len(xs), tol)
     if not xs:  # only a hand-built record: min would raise a bare ValueError
         raise DomainError(f"the coset at n={n} is empty; there is nothing to check")
     m = 2 * n
@@ -151,7 +150,7 @@ def verify_identity(identity: GammaProductIdentity,
         raise DomainError(f"the check at n={n} is refused: its smallest argument "
                           f"{coset_min}/2n is not a normal double")
     lgamma = math.lgamma
-    return _residual_report(n, coset_min, [lgamma(x / m) for x in xs],
+    return _residual_report(n, coset_min, term_count, (lgamma(x / m) for x in xs),
                             [-identity.b * _LN_2, -0.5 * identity.nu * _LN_PI], tol)
 
 
@@ -164,7 +163,7 @@ def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     # list of units: 1 leads and each x lies in (0, 2n), so no min, max or range check.
     m = 2 * fp.n
     odd_mask = _unit_mask(m)[1::2]
-    tol = _tolerance(fp.n, odd_mask.count(1), tol)
+    tol = _tolerance(fp.n, term_count := odd_mask.count(1), tol)
     lgamma = math.lgamma
-    terms = [lgamma(x / m) for x in compress(range(1, m, 2), odd_mask)]
-    return _residual_report(fp.n, 1, terms, [-fp.pow2 * (_LN_2 + _LN_PI)], tol)
+    terms = (lgamma(x / m) for x in compress(range(1, m, 2), odd_mask))
+    return _residual_report(fp.n, 1, term_count, terms, [-fp.pow2 * (_LN_2 + _LN_PI)], tol)

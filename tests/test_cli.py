@@ -5,9 +5,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -198,7 +200,6 @@ class TestVerify:
         # nan would fail every check and inf would pass a wrong b
         assert run_cli(["verify", "7", f"--tol={tol}"]) == 2
         assert "positive" in capsys.readouterr().err
-
 
 class TestVerifyMax:
     def test_sweep_to_99(self, capsys):
@@ -495,3 +496,32 @@ def test_main_exits_with_the_code_run_cli_returns(argv, code, monkeypatch, capsy
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == code
+
+
+# The two tests below hold a coset of 1,000,002 in this process, so they come after
+# test_decompose_holds_one_coset_at_a_time: on Linux a child's ru_maxrss starts from the
+# peak of the process that spawned it, and theirs would read as the child's.
+@pytest.mark.parametrize("n, digest", [
+    ("1000003", "5525b8eca7a2cdde9ac73b60e62a90d4f7431627a4bcf98913975d969ce45f67"),
+    ("1048575", "ff7c3df24d1db0edc3a7feb8373b8c8e452cd1d899e7b876355249501c0560e4"),
+])
+def test_verify_prints_past_ten_thousand_as_pinned(n, digest, capsys):
+    # one coset of 1,000,002 and 24,000 cosets of 20; past n = 10**4 tol= goes through
+    # libm's math.log, so it is masked with the residual
+    assert run_cli(["verify", n]) == 0
+    out = re.sub(r"(residual|tol)=\S+", r"\1=#", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+def test_a_verify_coset_line_is_one_fill():
+    # the 7.1 MiB line of verify 1000003; spelling the coset, then copying it into
+    # "coset=(...)" and again into the line peaked at twice the line
+    identity = next(identities._identities(1000003))
+    report = verification.verify_identity(identity)
+    tracemalloc.start()
+    try:
+        line = cli._report_line(report, identity.coset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line.startswith("PASS n=1000003 coset=(1,3,5,7,") and ",2000005) residual=" in line
+    assert peak < 1.8 * len(line)
