@@ -134,7 +134,8 @@ class CosetDecomposition:
 # _identities, which the CLI prints from, hold the mask mod 2n, the subgroup and one later
 # cycle, about 42 bytes, 0.42 GB at the limit; halving_cycles, coset_decomposition and
 # enumerate_identities keep every cycle, about 69, 48 and 46; a single coset's record holds
-# its labels and their tuple, 49 per element.  units_mod takes the moduli 2n of walkable n.
+# its labels and their tuple, 49 per element.  The checks sum their terms as taken: verify_identity
+# adds 0 bytes a term, verify_full_product 4 a unit.  units_mod takes the moduli 2n of walkable n.
 _MAX_WALK = 10**7
 
 

@@ -201,6 +201,7 @@ class TestVerify:
         assert run_cli(["verify", "7", f"--tol={tol}"]) == 2
         assert "positive" in capsys.readouterr().err
 
+
 class TestVerifyMax:
     def test_sweep_to_99(self, capsys):
         assert run_cli(["verify", "--max", "99"]) == 0
@@ -500,7 +501,7 @@ def test_main_exits_with_the_code_run_cli_returns(argv, code, monkeypatch, capsy
 
 # The two tests below hold a coset of 1,000,002 in this process, so they come after
 # test_decompose_holds_one_coset_at_a_time: on Linux a child's ru_maxrss starts from the
-# peak of the process that spawned it, and theirs would read as the child's.
+# peak of the process that spawned it, so their peak would read as the child's.
 @pytest.mark.parametrize("n, digest", [
     ("1000003", "5525b8eca7a2cdde9ac73b60e62a90d4f7431627a4bcf98913975d969ce45f67"),
     ("1048575", "ff7c3df24d1db0edc3a7feb8373b8c8e452cd1d899e7b876355249501c0560e4"),
@@ -511,6 +512,7 @@ def test_verify_prints_past_ten_thousand_as_pinned(n, digest, capsys):
     assert run_cli(["verify", n]) == 0
     out = re.sub(r"(residual|tol)=\S+", r"\1=#", capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_a_verify_coset_line_is_one_fill():
     # the 7.1 MiB line of verify 1000003; spelling the coset, then copying it into
