@@ -42,29 +42,34 @@ def is_prime_power(n: int) -> bool:
 
 
 def _table_beats_scan(nu: int, k: int) -> bool:
-    """Whether survey_row reads k cosets of size nu faster off the table than by the scan.
+    """Whether survey_row reads k mirror pairs of cosets of size nu faster off the
+    table than by the scan.
 
-    The table tests a unit in O(sqrt(nu)) steps but must reach each coset's
-    least unit, about k*ln(k) units in; the scan takes all phi/2 units at O(nu)
-    bigint work each.  Timed per row (2 vCPU Intel Xeon, Python 3.11.7) over
-    the odd n < 2000 and 1,500 odd n below 10**5, the two meet at isqrt(nu) =
-    7-8 for k = 2-3, 9-10 for k = 16-31 and 12-14 for k = 128-255, about
-    k.bit_length() + 4.5; this rule came within 2% of the faster path's total
-    on both sets.  Many short cosets stay with the scan: 0.25-0.34 s at
-    2**23 - 1 (nu = 23, k = 356,960), where the table took 2.3 s.  Long ones
-    go to the table: 0.09-0.14 s at 6651541 (nu = 2268, k = 2592), the scan 0.67 s.
+    The table tests a unit in O(sqrt(nu)) steps but must reach each pair's
+    least unit, about k*ln(k) units in; the scan takes all the odd units up
+    to n/3, about phi/6, at O(nu) bigint work each.  Timed per row (2 vCPU
+    Intel Xeon, Python 3.11.7) over the 647 odd n < 2000 and 1,115 of 1,500
+    odd n below 10**5 that have pairs, the two meet at isqrt(nu) = 5-6 for
+    k = 1, 6-7 for k = 2-7, 7-8 for k = 8-15, 8-9 for k = 16-63 and 9-10 for
+    k = 64-127, about k.bit_length() + 4; this rule came within 0.8% of the
+    faster path's total on both sets.  Many short cosets stay with the scan:
+    0.10 s at 2**23 - 1 (nu = 23, k = 178,480), where the table took 0.48 s.
+    Long ones go to the table: 0.034 s at 6651541 (nu = 2268, k = 1296), the
+    scan 0.24 s.
     """
     return k.bit_length() + 4 < isqrt(nu)
 
 
 def _coset_representatives(n: int, nu: int, k: int, units: Iterable[int]) -> Iterator[int]:
-    """Yield each unit of the ascending units that lies in no coset yielded before,
-    stopping at the k-th, with one shared baby-step giant-step table.
+    """Yield each unit of the ascending units that lies neither in a coset yielded
+    before nor in its negation, stopping at the k-th, with one shared baby-step
+    giant-step table.
 
-    Each representative r found puts r * 2**(s*a) mod n for a < ceil(nu/s) into
-    the table, s = isqrt(nu) + 1.  Every t < nu is s*a + j with j < s, so u lies
-    in the coset of some r found exactly when one of its first s halvings
-    u * 2**-j mod n is in the table: O(sqrt(nu)) steps a unit, whatever k is.
+    Each representative r found puts r * 2**(s*a) mod n and its negation for
+    a < ceil(nu/s) into the table, s = isqrt(nu) + 1.  Every t < nu is s*a + j
+    with j < s, so u lies in the coset of some r found or in its negation
+    exactly when one of its first s halvings u * 2**-j mod n is in the table:
+    O(sqrt(nu)) steps a unit, whatever k is.
     """
     s = isqrt(nu) + 1
     giant, steps = pow(2, s, n), -(-nu // s)
@@ -82,13 +87,20 @@ def _coset_representatives(n: int, nu: int, k: int, units: Iterable[int]) -> Ite
                 return
             for _ in range(steps):
                 table.add(u)
+                table.add(n - u)
                 u = u * giant % n
 
 
 def _fewest_ones(n: int, nu: int, reps: Iterable[int]) -> int:
-    """The fewest 1 bits among the nu-bit blocks u * (2**nu - 1) / n of the units u in reps."""
+    """The fewest 1 bits among the nu-bit blocks u * (2**nu - 1) / n of the units u
+    in reps and of their negations, n - u having the complement of u's block.
+
+    The popcounts are kept as a set, at most nu + 1 of them however many units
+    reps holds.
+    """
     block = ((1 << nu) - 1) // n
-    return min(map(int.bit_count, map(block.__mul__, reps)))
+    counts = set(map(int.bit_count, map(block.__mul__, reps)))
+    return min(min(counts), nu - max(counts))
 
 
 def survey_row(n: int) -> SurveyRow:
@@ -102,13 +114,15 @@ def survey_row(n: int) -> SurveyRow:
     2*sum(C) = sum(C) + n*#odd around C, so b = nu - sum(C)/n.  Read in base
     2: u * (2**nu - 1) / n is the repeating nu-bit block of u/n, each 1 bit
     a doubling step that wraps past n, that is an odd vertex of C, so
-    sum(C)/n is the block's popcount.  When -1 is in <2>, x -> n - x maps
-    each cycle to itself and flips the parity of every vertex, so every b is
-    nu/2 and no popcount is taken.  Otherwise: every cycle's smallest vertex
-    is odd (an even v has v/2 on its cycle) and below n/2 (a v > n/2 has
-    2v - n), so the odd units below n/2 reach every coset.  The scan takes the
-    popcount of all of them; _coset_representatives keeps one per coset, and
-    _table_beats_scan picks between the two on nu and k.
+    sum(C)/n is the block's popcount.  x -> n - x flips the parity of every
+    vertex, so b(-C) = nu - b(C).  When -1 is in <2> it maps each cycle to
+    itself, so every b is nu/2 and no popcount is taken.  Otherwise it pairs
+    each coset C with another, -C, and max_b is nu less the fewest ones of
+    either block of a pair.  The least vertex w of C u -C is odd (an even w
+    has w/2 there), and the even n - w is there too, so (n - w)/2 >= w: the
+    odd units up to n/3 reach every pair.  The scan takes the popcount of all
+    of them; _coset_representatives keeps one per pair, and _table_beats_scan
+    picks between the two on nu and the k/2 pairs.
     """
     n = int(OddModulus(n))
     mask = _walkable_mask(n)
@@ -123,10 +137,11 @@ def survey_row(n: int) -> SurveyRow:
     if self_complementary:
         max_b = nu // 2
     else:
-        half = n // 2 + 1
-        reps = compress(range(1, half, 2), mask[1:half:2])
-        if _table_beats_scan(nu, coset_count):
-            reps = _coset_representatives(n, nu, coset_count, reps)
+        third = n // 3 + 1
+        reps = compress(range(1, third, 2), mask[1:third:2])
+        pairs = coset_count // 2
+        if _table_beats_scan(nu, pairs):
+            reps = _coset_representatives(n, nu, pairs, reps)
         max_b = nu - _fewest_ones(n, nu, reps)
     return SurveyRow(
         n=n,
@@ -145,7 +160,8 @@ def survey_row(n: int) -> SurveyRow:
 # step of N**1.97; extrapolated by N**2, about 12 minutes at this bound.  It
 # prints every coset, about 5.3 bytes of stdout per unit: 108 MB at 10**4,
 # 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps time, not
-# output.  survey walks no cycle: 9.5 s at this bound on the same host.
+# output.  survey walks no cycle: 6.1 s at this bound on the same host (cold,
+# two runs).
 _MAX_SWEEP = 10**5
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -442,25 +443,36 @@ def test_a_reader_that_leaves_early_ends_the_cli_with_141_and_no_traceback():
     assert (proc.wait(timeout=60), stderr) == (141, b"")
 
 
+# On Linux a child's ru_maxrss starts from the peak of the process that forked it, so
+# a small python in between forks the command and reports its child's own wait4 peak
+_OWN_PEAK = """import os, sys
+pid = os.spawnv(os.P_NOWAIT, sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def test_decompose_holds_one_coset_at_a_time():
     # 356,960 cosets of 23: holding every coset before the first line peaked at 364 MB
-    proc = subprocess.Popen([sys.executable, "-m", "gammaprod", "decompose", "8388607"],
-                            stdout=subprocess.PIPE, env=_src_env())
-    timer = threading.Timer(120, proc.kill)
+    proc = subprocess.Popen([sys.executable, "-c", _OWN_PEAK, "-m", "gammaprod", "decompose",
+                             "8388607"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_src_env(), start_new_session=True)
+    timer = threading.Timer(120, os.killpg, (proc.pid, signal.SIGKILL))
     timer.start()
     try:
         sha = hashlib.sha256()
         while chunk := proc.stdout.read(1 << 20):
             sha.update(chunk)
-        proc.stdout.close()
-        # the child's own peak: RUSAGE_CHILDREN would report the largest child ever waited for
-        _, status, usage = os.wait4(proc.pid, 0)
+        peak = int(proc.stderr.read())
+        proc.wait()
     finally:
         timer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+        proc.stdout.close()
+        proc.stderr.close()
     assert proc.returncode == 0
     assert sha.hexdigest() == "71ffb546437ebc8a5105c9b08b54d1bf7c97771f520bd5cdfcc745d016ab9849"
-    peak_mb = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)  # bytes or KiB
+    peak_mb = peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes or KiB
     assert peak_mb < 100
 
 
@@ -499,9 +511,6 @@ def test_main_exits_with_the_code_run_cli_returns(argv, code, monkeypatch, capsy
     assert exc.value.code == code
 
 
-# The two tests below hold a coset of 1,000,002 in this process, so they come after
-# test_decompose_holds_one_coset_at_a_time: on Linux a child's ru_maxrss starts from the
-# peak of the process that spawned it, so their peak would read as the child's.
 @pytest.mark.parametrize("n, digest", [
     ("1000003", "5525b8eca7a2cdde9ac73b60e62a90d4f7431627a4bcf98913975d969ce45f67"),
     ("1048575", "ff7c3df24d1db0edc3a7feb8373b8c8e452cd1d899e7b876355249501c0560e4"),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from gammaprod import (
     check_reference_claims,
     enumerate_identities,
     halving_cycles,
+    identities,
     is_prime_power,
     is_self_complementary,
     multiplicative_order,
@@ -416,30 +418,103 @@ def _doubling_cosets(n):
     for u in range(1, n):
         if math.gcd(u, n) == 1 and u not in seen:
             coset, v = [], u
-            while v not in coset:
+            while v not in seen:
+                seen.add(v)
                 coset.append(v)
                 v = 2 * v % n
-            seen.update(coset)
             cosets.append(coset)
     return cosets
 
 
-def test_the_table_finds_each_coset_once():
-    # fed every unit in order with no early stop, the table must yield each
-    # coset's least unit and nothing else: every membership test is exercised
+def _mirror_pairs(n):
+    """Each coset of <2> mod n with its negation, as (C, -C); one pair per coset
+    when -1 is in <2>, which makes every coset its own mirror."""
+    cosets = _doubling_cosets(n)
+    coset_of = {u: i for i, coset in enumerate(cosets) for u in coset}
+    return [(c, cosets[coset_of[n - c[0]]]) for i, c in enumerate(cosets)
+            if coset_of[n - c[0]] >= i]
+
+
+def _odd_units_to_a_third(n):
+    return [u for u in range(1, n // 3 + 1, 2) if math.gcd(u, n) == 1]
+
+
+def test_mirror_cosets_pair_off_with_complementary_b():
+    # where -1 is not in <2>, x -> n - x maps each coset C onto another, -C, and
+    # flips the parity of every vertex, so b(-C) = nu - b(C).  The least vertex w
+    # of C u -C is odd (an even w has w/2 there) and at most n/3 (the even n - w
+    # is there, so (n - w)/2 is)
+    mirrored = 0
+    for n in range(3, 3000, 2):
+        pairs = _mirror_pairs(n)
+        if pairs[0][0] is pairs[0][1]:
+            continue  # -1 in <2>: every coset is its own mirror
+        mirrored += 1
+        nu = len(pairs[0][0])
+        assert 2 * len(pairs) == len(_doubling_cosets(n))
+        for coset, mirror in pairs:
+            assert coset is not mirror and sorted(mirror) == sorted(n - u for u in coset)
+            b = sum(u % 2 == 0 for u in coset)
+            assert sum(u % 2 == 0 for u in mirror) == nu - b
+            least = min(coset + mirror)
+            assert least % 2 == 1 and 3 * least <= n
+    assert mirrored == 996
+
+
+def test_the_table_finds_each_mirror_pair_once():
+    # fed every unit in order with no early stop, the table must yield each mirror
+    # pair's least unit and nothing else: every membership test is exercised
     for n in range(3, 600, 2):
-        cosets = _doubling_cosets(n)
-        units = sorted(u for coset in cosets for u in coset)
-        nu = len(cosets[0])
+        pairs = _mirror_pairs(n)
+        units = sorted(u for coset in _doubling_cosets(n) for u in coset)
+        nu = len(pairs[0][0])
         found = list(survey._coset_representatives(n, nu, len(units), units))
-        assert found == [min(coset) for coset in cosets]
-        # stopped at k, it yields the k cosets of the odd units below n/2 and
-        # reads no unit past the k-th representative
-        odd = _odd_units_below_half(n)
+        assert found == sorted(min(coset + mirror) for coset, mirror in pairs)
+        if pairs[0][0] is pairs[0][1]:
+            continue
+        # stopped at the k/2 pairs, it yields the same units off the odd units up to
+        # n/3 and reads no unit past the last representative
+        odd = _odd_units_to_a_third(n)
         units = iter(odd)
-        found = list(survey._coset_representatives(n, nu, len(cosets), units))
-        assert found == sorted(min(u for u in coset if u in odd) for coset in cosets)
+        assert list(survey._coset_representatives(n, nu, len(pairs), units)) == found
         assert next(units, None) == next((u for u in odd if u > found[-1]), None)
+
+
+def test_the_scan_reads_the_odd_units_to_a_third(monkeypatch):
+    handed, fewest = {}, survey._fewest_ones
+    monkeypatch.setattr(survey, "_fewest_ones",
+                        lambda n, nu, reps: fewest(n, nu, handed.setdefault(n, list(reps))))
+    _table_from(monkeypatch, 10**9)
+    for n in range(3, 1000, 2):
+        row = survey_row(n)
+        if not row.self_complementary_count:
+            assert handed.pop(n) == _odd_units_to_a_third(n)
+    assert not handed  # a self-complementary row takes no popcount
+    for n in (2**20 - 1, 1000005):
+        survey_row(n)
+        assert handed.pop(n) == _odd_units_to_a_third(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**4 - 1).map(lambda k: 2 * k + 1))
+def test_max_b_matches_the_walk_on_large_rows(n):
+    # the walk counts each coset's b off its own labels and takes no popcount
+    assert survey_row(n).max_b == max(i.b for i in identities._identities(n))
+
+
+def test_a_row_holds_no_list_of_popcounts():
+    # the mask takes n bytes and the odd units to n/3 another n/6; the scan over the
+    # odd units below n/2 peaked at 1.25 bytes per n, and a list of every popcount at 2.6
+    n = 2**23 - 1  # 178,480 mirror pairs of cosets of 23, all by the scan
+    survey_row(3)
+    tracemalloc.start()
+    try:
+        row = survey_row(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (row.coset_count, row.max_b) == (356960, 22)
+    assert peak < 1.2 * n
 
 
 def _refuse(name):
@@ -449,7 +524,7 @@ def _refuse(name):
 
 
 def test_many_short_cosets_take_the_scan(monkeypatch):
-    n = 2**20 - 1  # nu = 20, k = 24000: the table took 0.16 s, the scan 0.02 s
+    n = 2**20 - 1  # nu = 20, 12,000 pairs: the table took 0.026 s, the scan 0.009 s
     monkeypatch.setattr(survey, "_coset_representatives", _refuse("the table"))
     row = survey_row(n)
     assert (row.nu, row.coset_count, row.max_b) == (20, 24000, 19)
@@ -464,11 +539,12 @@ def test_a_self_complementary_row_takes_the_shortcut(monkeypatch):
 
 
 def test_long_cosets_take_the_table(monkeypatch):
-    # nu = 2268 and k = 2592 near the walk bound: the table took 0.12 s, the scan 0.67 s
+    # nu = 2268 and 1,296 pairs near the walk bound: the table took 0.034 s, the scan 0.24 s
     n, tables, table = 6651541, [], survey._coset_representatives
     monkeypatch.setattr(survey, "_coset_representatives",
-                        lambda *args: tables.append(args[0]) or table(*args))
+                        lambda *args: tables.append(args[:3]) or table(*args))
     row = survey_row(n)
-    assert tables == [n] and (row.nu, row.coset_count) == (2268, 2592)
+    # the table stops at the last of the 1,296 mirror pairs
+    assert tables == [(n, 2268, 1296)] and (row.nu, row.coset_count) == (2268, 2592)
     _table_from(monkeypatch, 10**9)
     assert survey_row(n) == row
