@@ -13,7 +13,8 @@ build_identity validates a proposed coset.  _identities yields the records
 one cycle of the bulk walk at a time, so the CLI holds one coset while it
 prints.  A single coset's n may lie past any sieve, with nu unknown, so
 _coset_identity reads its record off _halving_orbit.  _identity_from_coset
-sorts every path's labels into the ascending record.
+sorts every other path's labels into the ascending record; mersenne_identity
+builds its record, already ascending, from its closed form and walks nothing.
 """
 
 import bisect
@@ -182,9 +183,10 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
     m = _index(m)
     if m <= 1:
         raise DomainError(f"exponent must be > 1, got {m}")
-    if m > _MAX_MERSENNE:  # refused before the m lifts of m bits each are built
+    if m > _MAX_MERSENNE:  # refused before the m elements of m bits each are built
         raise DomainError(f"exponent {m} is too large; the limit is m <= {_MAX_MERSENNE}")
-    return _coset_identity((1 << m) - 1, 1)
+    n = (1 << m) - 1
+    return GammaProductIdentity(n, (1, *(n + (1 << k) for k in range(1, m))), m, m - 1)
 
 
 def full_product_identity(n: int) -> FullProduct:

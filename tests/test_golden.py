@@ -10,6 +10,7 @@ math.log.  The same digests
 are recomputed under every supported interpreter found on PATH.
 """
 
+import collections
 import contextlib
 import hashlib
 import inspect
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from gammaprod import run_cli
+from gammaprod import run_cli, survey
 
 ODD_N = range(1, 200, 2)
 MERSENNE_M = range(2, 65)
@@ -39,7 +40,7 @@ GROUPS = {
        for fmt in FORMATS},
     "survey-text": [["survey", "--max", "999"]],
     "survey-json": [["survey", "--max", "999", "--json"]],
-    # 801 of these rows take survey_row's shortcut, 1284 the table and 414 the scan
+    # test_survey_4999_rows_take_every_path: these rows cover each of survey_row's paths
     "survey-4999-text": [["survey", "--max", "4999"]],
     "survey-4999-json": [["survey", "--max", "4999", "--json"]],
     "check-claims-text": [["survey", "--max", "99", "--check-claims"]],
@@ -104,6 +105,22 @@ def _digest(argvs) -> str:
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_output_is_unchanged(group):
     assert _digest(GROUPS[group]) == DIGESTS[group]
+
+
+def test_survey_4999_rows_take_every_path(monkeypatch):
+    # a row calls neither wrapped routine on the shortcut, both on the table,
+    # and _fewest_ones alone on the scan
+    called, table, fewest = [], survey._coset_representatives, survey._fewest_ones
+    monkeypatch.setattr(survey, "_coset_representatives",
+                        lambda *args: called.append("table") or table(*args))
+    monkeypatch.setattr(survey, "_fewest_ones",
+                        lambda *args: called.append("scan") or fewest(*args))
+    paths = collections.Counter()
+    for n in range(3, 5000, 2):
+        called.clear()
+        survey.survey_row(n)
+        paths[called[0] if called else "shortcut"] += 1
+    assert set(paths) == {"shortcut", "table", "scan"}, paths
 
 
 # A stdlib-only child: it reads GROUPS on stdin and prints their digests.
