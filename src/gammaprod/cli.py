@@ -90,6 +90,7 @@ def _report_line(report, coset=None) -> str:
 def _cmd_decompose(args) -> int:
     for identity in _identities(args.n):
         print(_spell(identity.coset, "(", "", "", ",", ")"))
+        del identity  # not alive while the walk builds the next record
     return 0
 
 
@@ -121,6 +122,7 @@ def _verify_cosets(n, tol, tally: _Tally, coset_of=None) -> None:
         report = verify_identity(identity, tol)
         tally.add(report)
         print(_report_line(report, identity.coset))
+        del identity  # not alive while the walk builds the next record
 
 
 def _cmd_verify(args) -> int:

@@ -13,8 +13,9 @@ build_identity validates a proposed coset.  _identities yields the records
 one cycle of the bulk walk at a time, so the CLI holds one coset while it
 prints.  A single coset's n may lie past any sieve, with nu unknown, so
 _coset_identity reads its record off _halving_orbit.  _identity_from_coset
-sorts every other path's labels into the ascending record; mersenne_identity
-builds its record, already ascending, from its closed form and walks nothing.
+sorts these labels into the ascending record and reads nu off their count.
+mersenne_identity and complement_identity walk and sort nothing: they build
+their records from the closed form and from the mirror theorem.
 """
 
 import bisect
@@ -80,25 +81,24 @@ class FullProduct:
     pi_half_units: int
 
 
-def _identity_from_coset(n: int, labels: list[int], nu: int) -> GammaProductIdentity:
-    """The record of a coset's labels, sorted in place; it empties the list, which a walk holds."""
+def _identity_from_coset(n: int, labels: list[int]) -> GammaProductIdentity:
+    """The record of a coset's labels, sorted in place, nu their count; it empties the list."""
     labels.sort()
     coset = tuple(labels)
     labels.clear()
-    return GammaProductIdentity(n, coset, nu, len(coset) - bisect.bisect_right(coset, n))
+    return GammaProductIdentity(n, coset, len(coset), len(coset) - bisect.bisect_right(coset, n))
 
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: _halving_orbit's labels, bounded by _MAX_WALK."""
     n = int(OddModulus(n))
-    labels = _halving_orbit(n, _check_unit(x, 2 * n))
-    return _identity_from_coset(n, labels, len(labels))
+    return _identity_from_coset(n, _halving_orbit(n, _check_unit(x, 2 * n)))
 
 
 def _identities(n: int) -> Iterator[GammaProductIdentity]:
     """One record per cycle of _halving_walk, in coset order, as the walk yields it."""
     n = int(OddModulus(n))
-    return (_identity_from_coset(n, labels, len(labels)) for labels in _halving_walk(n))
+    return (_identity_from_coset(n, labels) for labels in _halving_walk(n))
 
 
 def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
@@ -124,7 +124,7 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     nu = None  # stays None unless the set is closed
     if (elems and _is_unit(elems[0], m) and {x * g % m for x in elems} == set(elems)
             and len(elems) == (nu := _order_of_two(n, len(elems))) and pow(2, nu, n) == 1):
-        return _identity_from_coset(n, elems, nu)
+        return _identity_from_coset(n, elems)
     raise InvalidCosetError(_coset_fault(m, given, elems, nu))
 
 
@@ -155,13 +155,13 @@ def enumerate_identities(n: int) -> tuple[GammaProductIdentity, ...]:
 
 
 def complement_identity(identity: GammaProductIdentity) -> GammaProductIdentity:
-    """Identity for the mirrored coset {2n - x}.
-
-    Complementation is an involution on identities and flips the power of
-    two: the mirror of an identity with exponent b has exponent nu - b.
-    """
+    """Identity for the mirrored coset {2n - x}, by the mirror theorem: an ascending
+    coset's 2n - x, reversed, with exponent nu - b.  Nothing is re-sorted or recounted,
+    so complementation is an involution on every record, a hand-built one included:
+    a second complement restores its fields as they were."""
     n = identity.n
-    return _identity_from_coset(n, [2 * n - x for x in identity.coset], identity.nu)
+    coset = tuple([2 * n - x for x in reversed(identity.coset)])
+    return GammaProductIdentity(n, coset, identity.nu, identity.nu - identity.b)
 
 
 def is_self_complementary(identity: GammaProductIdentity) -> bool:

@@ -1,5 +1,6 @@
 """Command line behaviour: grammar, output shapes, exit codes."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -10,7 +11,6 @@ import signal
 import subprocess
 import sys
 import threading
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -476,6 +476,26 @@ def test_decompose_holds_one_coset_at_a_time():
     assert peak_mb < 100
 
 
+class _CharCount:
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("command, chars", [("decompose", 1344603), ("verify", 1344711)])
+def test_a_per_n_loop_drops_each_record_before_the_next(command, chars, traced_peak):
+    # two cosets of 100,011: the walk builds the second while the loop could still hold
+    # the first, which peaked at 46.2 bytes a unit; dropped once printed, at 42.2
+    sink = _CharCount()
+    with contextlib.redirect_stdout(sink):
+        code, peak = traced_peak(run_cli, [command, "200023"])
+    assert (code, sink.chars) == (0, chars)
+    assert peak < 44 * 200022
+
+
 PER_N_COMMANDS = [["decompose"], *(["identities", "--format", fmt] for fmt in FORMATS),
                   ["verify"]]
 
@@ -523,16 +543,11 @@ def test_verify_prints_past_ten_thousand_as_pinned(n, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_a_verify_coset_line_is_one_fill():
+def test_a_verify_coset_line_is_one_fill(traced_peak):
     # the 7.1 MiB line of verify 1000003; spelling the coset, then copying it into
     # "coset=(...)" and again into the line peaked at twice the line
     identity = next(identities._identities(1000003))
     report = verification.verify_identity(identity)
-    tracemalloc.start()
-    try:
-        line = cli._report_line(report, identity.coset)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    line, peak = traced_peak(cli._report_line, report, identity.coset)
     assert line.startswith("PASS n=1000003 coset=(1,3,5,7,") and ",2000005) residual=" in line
     assert peak < 1.8 * len(line)

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -278,6 +277,33 @@ class TestComplement:
                 assert mirrored.b == identity.nu - identity.b
                 assert complement_identity(mirrored) == identity
 
+    def test_the_mirror_theorem_agrees_with_build_identity(self):
+        # build_identity re-validates the mirrored coset and recounts its b off the labels
+        for n in range(3, 600, 2):
+            for identity in enumerate_identities(n):
+                assert complement_identity(identity) == build_identity(
+                    n, [2 * n - x for x in identity.coset])
+        n = 1000003
+        identity = identities._coset_identity(n, 1)
+        assert complement_identity(identity) == build_identity(
+            n, [2 * n - x for x in identity.coset])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=200).map(lambda k: 2 * k + 1), st.data())
+    def test_two_complements_restore_a_hand_built_record(self, n, data):
+        # a record is never re-checked: the mirror reverses the coset as given, keeps nu and
+        # flips b, so a second complement gives back each tampered field as it was
+        identity = data.draw(st.sampled_from(enumerate_identities(n)))
+        coset = tuple(data.draw(st.permutations(identity.coset).filter(
+            lambda xs: list(xs) != sorted(xs))))
+        nu = identity.nu + data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        b = identity.b + data.draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        record = identities.GammaProductIdentity(n, coset, nu, b)
+        mirrored = complement_identity(record)
+        assert mirrored == identities.GammaProductIdentity(
+            n, tuple(2 * n - x for x in reversed(coset)), nu, nu - b)
+        assert complement_identity(mirrored) == record
+
     def test_self_complementary(self):
         assert is_self_complementary(build_identity(3, [1, 5]))
         assert not is_self_complementary(build_identity(7, [1, 9, 11]))
@@ -347,16 +373,11 @@ class TestMersenne:
         assert identity.coset[0] == 1 and identity.coset[-1] == 2 ** (m - 1) + 2 ** m - 1
 
 
-def test_a_single_coset_holds_one_list_of_its_labels():
+def test_a_single_coset_holds_one_list_of_its_labels(traced_peak):
     # the labels and their tuple, about 48 bytes per element; a second list of the
     # coset beside them (the vertices, then their lifts) took about 77
     n = 1000003
-    tracemalloc.start()
-    try:
-        identity = identities._coset_identity(n, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    identity, peak = traced_peak(identities._coset_identity, n, 1)
     assert identity.nu == n - 1
     assert peak < 60 * identity.nu
 

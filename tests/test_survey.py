@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,17 +501,12 @@ def test_max_b_matches_the_walk_on_large_rows(n):
     assert survey_row(n).max_b == max(i.b for i in identities._identities(n))
 
 
-def test_a_row_holds_no_list_of_popcounts():
+def test_a_row_holds_no_list_of_popcounts(traced_peak):
     # the mask takes n bytes and the odd units to n/3 another n/6; the scan over the
     # odd units below n/2 peaked at 1.25 bytes per n, and a list of every popcount at 2.6
     n = 2**23 - 1  # 178,480 mirror pairs of cosets of 23, all by the scan
     survey_row(3)
-    tracemalloc.start()
-    try:
-        row = survey_row(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    row, peak = traced_peak(survey_row, n)
     assert (row.coset_count, row.max_b) == (356960, 22)
     assert peak < 1.2 * n
 

@@ -5,7 +5,6 @@ import json
 import math
 import random
 import re
-import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -342,28 +341,17 @@ class TestVerifyFullProduct:
             verify_full_product(2**61 - 1)
 
 
-def _traced_peak(check, *args):
-    """The check's report and its tracemalloc peak, in bytes."""
-    tracemalloc.start()
-    try:
-        report = check(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return report, peak
-
-
-def test_a_coset_check_sums_its_terms_as_it_takes_them():
+def test_a_coset_check_sums_its_terms_as_it_takes_them(traced_peak):
     # the record is built before tracing; a list of its lgamma terms took about 32 bytes a term
     (identity,) = enumerate_identities(1000003)
-    report, peak = _traced_peak(verify_identity, identity)
+    report, peak = traced_peak(verify_identity, identity)
     assert report.passed and report.term_count == 1000002
     assert peak < 4 * report.term_count
 
 
-def test_the_full_product_check_holds_its_sieve_and_no_terms():
+def test_the_full_product_check_holds_its_sieve_and_no_terms(traced_peak):
     # the sieve mod 2n and its odd half, about 4 bytes a unit; a list of the terms took 33
-    report, peak = _traced_peak(verify_full_product, 1000003)
+    report, peak = traced_peak(verify_full_product, 1000003)
     assert report.passed and report.term_count == 1000002
     assert peak < 8 * report.term_count
 
