@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
 from .residues import (OddModulus, _check_unit, _halving_orbit, _halving_walk, _index,
-                       _is_unit, _order_of_two, _walkable_mask)
+                       _is_unit, _order_of_two, _walkable_totient)
 
 __all__ = [
     "Rhs",
@@ -192,9 +192,9 @@ def mersenne_identity(m: int) -> GammaProductIdentity:
 def full_product_identity(n: int) -> FullProduct:
     """Combine all coset identities: the total product is (2*pi)**(phi(n)/2).
 
-    phi is read off the unit mask mod n; that the cosets' powers of two sum
-    to half of it is a theorem the tests pin.
+    phi is read off the distinct primes of n; that the cosets' powers of two
+    sum to half of it is a theorem the tests pin.
     """
     n = int(OddModulus(n))
-    phi = _walkable_mask(n).count(1)
+    phi = _walkable_totient(n)[0]
     return FullProduct(n=n, pow2=phi // 2, pi_half_units=phi)

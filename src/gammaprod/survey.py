@@ -4,12 +4,12 @@ counts for n < 100 and an honest checker for them."""
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .residues import (OddModulus, _distinct_primes, _index, _integer, _order_of_two,
-                       _walkable_mask)
+                       _unit_mask, _walkable_totient)
 
 __all__ = [
     "SurveyRow",
@@ -45,17 +45,18 @@ def _table_beats_scan(nu: int, k: int) -> bool:
     """Whether survey_row reads k mirror pairs of cosets of size nu faster off the
     table than by the scan.
 
-    The table tests a unit in O(sqrt(nu)) steps but must reach each pair's
-    least unit, about k*ln(k) units in; the scan takes all the odd units up
-    to n/3, about phi/6, at O(nu) bigint work each.  Timed per row (2 vCPU
-    Intel Xeon, Python 3.11.7) over the 647 odd n < 2000 and 1,115 of 1,500
-    odd n below 10**5 that have pairs, the two meet at isqrt(nu) = 5-6 for
-    k = 1, 6-7 for k = 2-7, 7-8 for k = 8-15, 8-9 for k = 16-63 and 9-10 for
-    k = 64-127, about k.bit_length() + 4; this rule came within 0.8% of the
-    faster path's total on both sets.  Many short cosets stay with the scan:
-    0.10 s at 2**23 - 1 (nu = 23, k = 178,480), where the table took 0.48 s.
-    Long ones go to the table: 0.034 s at 6651541 (nu = 2268, k = 1296), the
-    scan 0.24 s.
+    The table tests a unit by one gcd and O(sqrt(nu)) steps, none for the
+    first, but must reach each pair's least unit, about k*ln(k) units in; the
+    scan sieves n and takes all the odd units up to n/3, about phi/6, at O(nu)
+    bigint work each.  Timed per row (2 vCPU Intel Xeon, Python 3.11.7) over
+    the 647 odd n < 2000 and 1,115 of a seeded 1,500 odd n below 10**5 that
+    have pairs, the table won 478 of the 479 rows of k = 1, and the two meet
+    at isqrt(nu) = 6-7 for k = 2-7, 7-10 for k = 8-15, 8-10 for k = 16-63 and
+    10-11 for k = 64-127, about k.bit_length() + 4; this rule came within 0.7%
+    of the faster path's total on both sets, and the table for every k = 1
+    gained 0.1%.  Many short cosets stay with the scan: 0.17-0.23 s at 2**23 - 1
+    (nu = 23, k = 178,480), where the table took 1.2-1.9 s.  Long ones go to
+    the table: 0.07-0.10 s at 6651541 (nu = 2268, k = 1296), the scan 0.41-0.77 s.
     """
     return k.bit_length() + 4 < isqrt(nu)
 
@@ -76,7 +77,7 @@ def _coset_representatives(n: int, nu: int, k: int, units: Iterable[int]) -> Ite
     table = set()
     for u in units:
         v = u
-        for _ in range(s):
+        for _ in range(s if table else 0):  # the first unit found meets an empty table
             if v in table:
                 break
             v = (v + n) >> 1 if v & 1 else v >> 1
@@ -106,7 +107,8 @@ def _fewest_ones(n: int, nu: int, reps: Iterable[int]) -> int:
 def survey_row(n: int) -> SurveyRow:
     """Statistics for a single odd modulus, read off the binary period of 1/n.
 
-    phi counts the unit mask and nu = ord_n(2), the period of 1/n in base 2,
+    phi = n * prod(1 - 1/p) over the distinct primes p of n, which also give
+    the prime-power column, and nu = ord_n(2), the period of 1/n in base 2,
     is phi with every prime factor stripped that 2 does not need.  The
     cycles lift to the cosets, each of size nu, so there are k = phi/nu.
 
@@ -120,14 +122,13 @@ def survey_row(n: int) -> SurveyRow:
     each coset C with another, -C, and max_b is nu less the fewest ones of
     either block of a pair.  The least vertex w of C u -C is odd (an even w
     has w/2 there), and the even n - w is there too, so (n - w)/2 >= w: the
-    odd units up to n/3 reach every pair.  The scan takes the popcount of all
-    of them; _coset_representatives keeps one per pair, and _table_beats_scan
-    picks between the two on nu and the k/2 pairs.
+    odd units up to n/3 reach every pair.  The scan sieves n and takes the
+    popcount of all of them; _coset_representatives tests them by gcd and
+    keeps one per pair, and _table_beats_scan picks between the two on nu and
+    the k/2 pairs.
     """
     n = int(OddModulus(n))
-    mask = _walkable_mask(n)
-    phi = mask.count(1)
-    p = mask.find(0, 1)  # n's least prime, or -1 when n is prime
+    phi, primes = _walkable_totient(n)
     nu = _order_of_two(n, phi)
     coset_count = phi // nu
     # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
@@ -137,11 +138,11 @@ def survey_row(n: int) -> SurveyRow:
     if self_complementary:
         max_b = nu // 2
     else:
-        third = n // 3 + 1
-        reps = compress(range(1, third, 2), mask[1:third:2])
-        pairs = coset_count // 2
+        odd, pairs = range(1, n // 3 + 1, 2), coset_count // 2
         if _table_beats_scan(nu, pairs):
-            reps = _coset_representatives(n, nu, pairs, reps)
+            reps = _coset_representatives(n, nu, pairs, (u for u in odd if gcd(u, n) == 1))
+        else:
+            reps = compress(odd, _unit_mask(n, primes)[1:odd.stop:2])
         max_b = nu - _fewest_ones(n, nu, reps)
     return SurveyRow(
         n=n,
@@ -150,7 +151,7 @@ def survey_row(n: int) -> SurveyRow:
         coset_count=coset_count,
         self_complementary_count=coset_count if self_complementary else 0,
         max_b=max_b,
-        is_prime_power=p < 0 or phi * p == n * (p - 1),  # phi(p**k) == n * (1 - 1/p)
+        is_prime_power=len(primes) == 1,
     )
 
 
@@ -160,8 +161,8 @@ def survey_row(n: int) -> SurveyRow:
 # step of N**1.97; extrapolated by N**2, about 12 minutes at this bound.  It
 # prints every coset, about 5.3 bytes of stdout per unit: 108 MB at 10**4,
 # 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps time, not
-# output.  survey walks no cycle: 6.1 s at this bound on the same host (cold,
-# two runs).
+# output.  survey walks no cycle: 8.6-10.6 s at this bound on a host of the
+# same kind (cold, two runs).
 _MAX_SWEEP = 10**5
 
 

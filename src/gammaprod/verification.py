@@ -35,7 +35,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .identities import GammaProductIdentity, full_product_identity
-from .residues import _unit_mask
+from .residues import _distinct_primes, _unit_mask
 
 __all__ = [
     "VerificationReport",
@@ -157,12 +157,12 @@ def verify_identity(identity: GammaProductIdentity,
 def verify_full_product(n: int, tol: float | None = None) -> VerificationReport:
     """Check the record full_product_identity(n): the product over every unit mod 2n."""
     fp = full_product_identity(n)
-    # The units mod 2n come from their own sieve, not the mask mod n that counted the
+    # The units mod 2n come from their own sieve, not the primes of n that gave the
     # record's phi, so a wrong pow2 shows; the tests pin it to a gcd scan.  Every unit is
     # odd, so the odd half of the sieve streams them ascending into the terms with no
     # list of units: 1 leads and each x lies in (0, 2n), so no min, max or range check.
     m = 2 * fp.n
-    odd_mask = _unit_mask(m)[1::2]
+    odd_mask = _unit_mask(m, _distinct_primes(m))[1::2]
     tol = _tolerance(fp.n, term_count := odd_mask.count(1), tol)
     lgamma = math.lgamma
     terms = (lgamma(x / m) for x in compress(range(1, m, 2), odd_mask))

@@ -513,9 +513,9 @@ class TestHalvingWalk:
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_is_lazy_and_consumes_its_mask(self, n, monkeypatch):
         count, units = coset_decomposition(n).coset_count, brute_units(2 * n)
-        masks, sieve = [], residues._walkable_mask
-        monkeypatch.setattr(residues, "_walkable_mask",
-                            lambda m: masks.append(sieve(m)) or masks[-1])
+        masks, sieve = [], residues._unit_mask
+        monkeypatch.setattr(residues, "_unit_mask",
+                            lambda m, primes: masks.append(sieve(m, primes)) or masks[-1])
         walk = residues._halving_walk(n)
         assert masks == []  # nothing sieved before the first next()
         seen = []

@@ -1,6 +1,7 @@
 """Survey rows and the recorded n < 100 reference counts."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -296,6 +297,14 @@ def test_max_b_matches_identities():
         assert survey_row(n).max_b == max(i.b for i in enumerate_identities(n))
 
 
+def test_rows_below_20000_keep_their_digest():
+    # every odd n < 20000, rows of all three paths, frozen when phi still counted
+    # a unit mask and the prime-power column read the mask's least non-unit
+    rows = repr(survey_range(19999)).encode()
+    assert hashlib.sha256(rows).hexdigest() == (
+        "4e26a777677804ce131c863bb67c79c29d8ad896dd0d7d13834d3a7c502f4005")
+
+
 def test_rows_match_reference_rows():
     for n in range(3, 1200, 2):
         assert survey_row(n) == reference_row(n)
@@ -330,7 +339,7 @@ def test_cycle_sum_is_the_popcount_of_the_binary_period():
 
 
 def _totient(n):
-    return residues._unit_mask(n).count(1)
+    return residues._unit_mask(n, residues._distinct_primes(n)).count(1)
 
 
 def test_order_of_two_matches_multiplicative_order():
@@ -357,19 +366,23 @@ CUTS = pytest.mark.parametrize("cut", [0, 2000, 10**9])
 @pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
 @CUTS
 def test_a_row_sieves_once(n, cut, monkeypatch):
-    # every path reads its units off the mask the row has already counted
+    # at most: phi comes off n's primes, so a shortcut row reads no unit and a table
+    # row tests its few by gcd; only the scan, which reads every unit to n/3, sieves n
     sieved, sieve = [], residues._unit_mask
-    monkeypatch.setattr(residues, "_unit_mask", lambda m: sieved.append(m) or sieve(m))
+    monkeypatch.setattr(survey, "_unit_mask",
+                        lambda m, primes: sieved.append(m) or sieve(m, primes))
+    monkeypatch.setattr(residues, "_unit_mask", _refuse("a sieve outside survey_row"))
     _table_from(monkeypatch, cut)
-    survey_row(n)
-    assert sieved == [n]
+    row = survey_row(n)
+    scanned = not row.self_complementary_count and row.nu < cut
+    assert sieved == ([n] if scanned else [])
 
 
 @pytest.mark.parametrize("n", [3, 9, 15, 31, 91, 2187, 6561, 15625, 1000003])
 @CUTS
 def test_a_row_factors_n_once(n, cut, monkeypatch):
-    # the sieve's first non-unit is n's least prime p, and n = p**k exactly
-    # when phi = n - n/p, so the prime-power column needs no second factoring
+    # phi = n * prod(1 - 1/p) and the prime-power column, a single p, come off
+    # the one factoring of n, which the scan's sieve reuses, so no path factors twice
     factored, factor = [], residues._distinct_primes
     counted = lambda m: factored.append(m) or factor(m)
     monkeypatch.setattr(residues, "_distinct_primes", counted)
@@ -479,6 +492,27 @@ def test_the_table_finds_each_mirror_pair_once():
         assert next(units, None) == next((u for u in odd if u > found[-1]), None)
 
 
+@pytest.mark.parametrize("n, second", [(7, 3), (1023, 5)])  # one pair; 30 pairs
+def test_the_table_yields_its_first_unit_untested(n, second):
+    # while the table is empty every membership test misses, so the first unit is
+    # yielded as read: no later unit is read and the unit is never halved
+    halved = []
+
+    class Unit(int):  # records each halving step taken on it
+        def __and__(self, other):
+            halved.append(int(self))
+            return int(self) & other
+
+    units = (Unit(u) for u in range(1, n, 2) if math.gcd(u, n) == 1)
+    nu = multiplicative_order(2, n)
+    pairs = len(units_mod(n)) // nu // 2
+    reps = survey._coset_representatives(n, nu, pairs, units)
+    assert next(reps) == 1 and halved == []
+    if pairs == 1:
+        assert next(reps, None) is None  # and done, still having read one unit
+    assert next(units) == second and halved == []
+
+
 def test_the_scan_reads_the_odd_units_to_a_third(monkeypatch):
     handed, fewest = {}, survey._fewest_ones
     monkeypatch.setattr(survey, "_fewest_ones",
@@ -518,7 +552,7 @@ def _refuse(name):
 
 
 def test_many_short_cosets_take_the_scan(monkeypatch):
-    n = 2**20 - 1  # nu = 20, 12,000 pairs: the table took 0.026 s, the scan 0.009 s
+    n = 2**20 - 1  # nu = 20, 12,000 pairs: the table took 0.06-0.11 s, the scan 0.014-0.020 s
     monkeypatch.setattr(survey, "_coset_representatives", _refuse("the table"))
     row = survey_row(n)
     assert (row.nu, row.coset_count, row.max_b) == (20, 24000, 19)
@@ -533,7 +567,7 @@ def test_a_self_complementary_row_takes_the_shortcut(monkeypatch):
 
 
 def test_long_cosets_take_the_table(monkeypatch):
-    # nu = 2268 and 1,296 pairs near the walk bound: the table took 0.034 s, the scan 0.24 s
+    # nu = 2268, 1,296 pairs near the walk bound: the table took 0.07-0.10 s, the scan 0.41-0.77 s
     n, tables, table = 6651541, [], survey._coset_representatives
     monkeypatch.setattr(survey, "_coset_representatives",
                         lambda *args: tables.append(args[:3]) or table(*args))
