@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InvalidCosetError
-from .residues import (OddModulus, _check_unit, _halving_orbit, _halving_walk, _index,
-                       _is_unit, _order_of_two, _walkable_totient)
+from .residues import (_check_unit, _halving_orbit, _halving_walk, _index, _is_unit,
+                       _odd_modulus, _order_of_two, _walkable_totient)
 
 __all__ = [
     "Rhs",
@@ -91,13 +91,13 @@ def _identity_from_coset(n: int, labels: list[int]) -> GammaProductIdentity:
 
 def _coset_identity(n: int, x: int) -> GammaProductIdentity:
     """The coset record of the unit x mod 2n: _halving_orbit's labels, bounded by _MAX_WALK."""
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     return _identity_from_coset(n, _halving_orbit(n, _check_unit(x, 2 * n)))
 
 
 def _identities(n: int) -> Iterator[GammaProductIdentity]:
     """One record per cycle of _halving_walk, in coset order, as the walk yields it."""
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     return (_identity_from_coset(n, labels) for labels in _halving_walk(n))
 
 
@@ -112,7 +112,7 @@ def build_identity(n: int, coset: Iterable[int]) -> GammaProductIdentity:
     Input order does not matter, the stored coset is ascending, and any
     integer type (numpy's, bool) is stored as a Python int.
     """
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     m, g = 2 * n, n + 2
     given = list(coset)
     try:
@@ -195,6 +195,6 @@ def full_product_identity(n: int) -> FullProduct:
     phi is read off the distinct primes of n; that the cosets' powers of two
     sum to half of it is a theorem the tests pin.
     """
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     phi = _walkable_totient(n)[0]
     return FullProduct(n=n, pow2=phi // 2, pi_half_units=phi)

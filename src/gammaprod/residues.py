@@ -1,12 +1,15 @@
 """Exact arithmetic in the unit groups (Z/mZ)*.
 
 Moduli are plain Python integers, so modular products never overflow no
-matter the size.  Representatives always live in the open interval (0, m)
-and listings are sorted ascending; cycles and cosets are keyed by their
-smallest member.  Together this makes every derived listing deterministic.
+matter the size: _odd_modulus, the one check of an odd modulus, returns one.
+Representatives always live in the open interval (0, m) and listings are
+sorted ascending; cycles and cosets are keyed by their smallest member.
+Together this makes every derived listing deterministic.
 
 Units are never listed one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus, which alone give phi.
+Those come by trial division by the primes up to sqrt(2 * _MAX_WALK),
+tabled at import, which factor every m within units_mod's bound.
 units_mod reads its units off it, and the halving walk sieves its own mask,
 widens it to the units mod 2n and consumes it, clearing each cycle's labels
 as it goes.  The bulk walk walks no cycle: it doubles the lifted subgroup up
@@ -55,15 +58,20 @@ def _index(x) -> int:
         raise DomainError(f"{x!r} is not an integer") from exc
 
 
+def _odd_modulus(n) -> int:
+    """n as a plain int, or InvalidModulusError unless it is an odd integer > 1: the one
+    check of a modulus, which every entry and OddModulus make."""
+    if (n := _integer(n)) < 3 or n % 2 == 0:
+        raise InvalidModulusError(f"modulus must be odd and > 1, got {n}")
+    return n
+
+
 class OddModulus(int):
-    """An odd integer modulus n > 1; construction enforces the domain.  Entries
-    validate with it and read n = int(OddModulus(n)), so records hold a plain int."""
+    """An odd integer modulus n > 1; construction enforces the domain with
+    _odd_modulus, which the entries call themselves, so records hold a plain int."""
 
     def __new__(cls, n: int) -> "OddModulus":
-        n = _integer(n)
-        if n < 3 or n % 2 == 0:
-            raise InvalidModulusError(f"modulus must be odd and > 1, got {n}")
-        return super().__new__(cls, n)
+        return super().__new__(cls, _odd_modulus(n))
 
 
 def _is_unit(x: int, m: int) -> bool:
@@ -130,6 +138,15 @@ class CosetDecomposition:
         raise DomainError(f"no coset holds {x}")  # only a hand-built decomposition
 
 
+def _primes_to(k: int) -> tuple[int, ...]:
+    """The primes up to k, by the sieve of Eratosthenes."""
+    sieve = bytearray(2) + bytearray(b"\x01") * (k - 1)
+    for p in range(2, math.isqrt(k) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, k + 1, p)))
+    return tuple(itertools.compress(range(k + 1), sieve))
+
+
 # Tracemalloc peaks per unit at the two-cycle n = 9999991 (64-bit CPython): the walk, and
 # _identities, which the CLI prints from, hold the mask mod 2n, the subgroup and one later
 # cycle, about 42 bytes, 0.42 GB at the limit; halving_cycles, coset_decomposition and
@@ -137,24 +154,26 @@ class CosetDecomposition:
 # its labels and their tuple, 49 per element.  The checks sum their terms as taken: verify_identity
 # adds 0 bytes a term, verify_full_product 4 a unit.  units_mod takes the moduli 2n of walkable n.
 _MAX_WALK = 10**7
+_PRIMES = _primes_to(math.isqrt(2 * _MAX_WALK))  # 607 primes, the last 4463: see _distinct_primes
 
 
 def _distinct_primes(m: int) -> list[int]:
-    """The distinct primes of m >= 2, ascending, by trial division.
+    """The distinct primes of m >= 2, ascending, by trial division by _PRIMES.
 
     An m past 2 * _MAX_WALK, units_mod's bound, raises DomainError: trial
     division up to sqrt(m) would not finish for a prime like 2**127 - 1.
+    Within it, what the table leaves is 1 or prime, as 4481**2 > 2 * _MAX_WALK.
     """
     if m > 2 * _MAX_WALK:
         raise DomainError(f"n={m} is too large to factor; the limit is n <= {2 * _MAX_WALK}")
     primes = []
-    p = 2
-    while p * p <= m:
+    for p in _PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             primes.append(p)
             while m % p == 0:
                 m //= p
-        p += 1 if p == 2 else 2
     if m > 1:  # the one prime above the square root of what is left
         primes.append(m)
     return primes
@@ -226,21 +245,21 @@ def odd_lift(y: int, n: int) -> int:
     The lift is a group isomorphism onto the units mod 2n (n odd); its
     inverse is odd_lift_inverse.
     """
-    n = OddModulus(n)
+    n = _odd_modulus(n)
     y = _check_unit(y, n)
     return y if y % 2 else y + n
 
 
 def odd_lift_inverse(x: int, n: int) -> int:
     """Send an odd unit mod 2n back to its representative in (0, n)."""
-    n = OddModulus(n)
+    n = _odd_modulus(n)
     x = _check_unit(x, 2 * n)
     return x if x < n else x - n
 
 
 def halve_mod(y: int, n: int) -> int:
     """Halve a unit mod odd n: the unique unit z with 2*z congruent to y."""
-    n = OddModulus(n)
+    n = _odd_modulus(n)
     y = _check_unit(y, n)
     return y // 2 if y % 2 == 0 else (y + n) // 2
 
@@ -321,7 +340,7 @@ def halving_cycles(n: int) -> tuple[HalvingCycle, ...]:
     with it.  The labels are the odd lifts of the vertices; their sets are
     exactly the cosets of coset_decomposition(n).
     """
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     # The walk's order and rotation are the vertices' too: a cycle's least vertex
     # is odd (an even v has the smaller v/2 in its cycle), so it is its own lift
     # and the least label.  x - n, not x % n: a label below n shares its int.
@@ -340,7 +359,7 @@ def coset_decomposition(n: int) -> CosetDecomposition:
     are ascending internally and ordered by smallest element, so the
     subgroup itself comes first.
     """
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     cosets = tuple(map(tuple, map(sorted, _halving_walk(n))))
     nu = len(cosets[0])
     assert all(len(coset) == nu for coset in cosets)

@@ -8,7 +8,7 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 from .errors import DomainError
-from .residues import (OddModulus, _distinct_primes, _index, _integer, _order_of_two,
+from .residues import (_distinct_primes, _index, _integer, _odd_modulus, _order_of_two,
                        _unit_mask, _walkable_totient)
 
 __all__ = [
@@ -127,7 +127,7 @@ def survey_row(n: int) -> SurveyRow:
     keeps one per pair, and _table_beats_scan picks between the two on nu and
     the k/2 pairs.
     """
-    n = int(OddModulus(n))
+    n = _odd_modulus(n)
     phi, primes = _walkable_totient(n)
     nu = _order_of_two(n, phi)
     coset_count = phi // nu
@@ -144,15 +144,9 @@ def survey_row(n: int) -> SurveyRow:
         else:
             reps = compress(odd, _unit_mask(n, primes)[1:odd.stop:2])
         max_b = nu - _fewest_ones(n, nu, reps)
-    return SurveyRow(
-        n=n,
-        phi=phi,
-        nu=nu,
-        coset_count=coset_count,
-        self_complementary_count=coset_count if self_complementary else 0,
-        max_b=max_b,
-        is_prime_power=len(primes) == 1,
-    )
+    # positional, in field order: keywords cost a frozen row a third more
+    return SurveyRow(n, phi, nu, coset_count, coset_count if self_complementary else 0,
+                     max_b, len(primes) == 1)
 
 
 # verify --max N walks the units of every odd n <= N, about 0.203 * N**2 of

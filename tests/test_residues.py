@@ -24,7 +24,7 @@ from gammaprod import (
     verify_full_product,
     verify_identity,
 )
-from gammaprod import residues
+from gammaprod import identities, residues
 from gammaprod.errors import DomainError, GammaprodError, InvalidModulusError, NotAUnitError
 from gammaprod.residues import CosetDecomposition, _halving_orbit
 
@@ -195,6 +195,39 @@ class TestUnitsMod:
     def test_rejects_small(self, bad):
         with pytest.raises(InvalidModulusError):
             units_mod(bad)
+
+
+class TestDistinctPrimes:
+    def test_matches_a_sieve_of_prime_divisors_to_20000(self):
+        divisors = [[] for _ in range(20001)]
+        for p in range(2, 20001):
+            if not divisors[p]:  # no smaller prime divides p
+                for multiple in range(p, 20001, p):
+                    divisors[multiple].append(p)
+        assert [residues._distinct_primes(m) for m in range(2, 20001)] == divisors[2:]
+
+    @pytest.mark.parametrize("m, primes", [
+        (4463**2, [4463]),  # the square of the table's last prime
+        (4463 * 4481, [4463, 4481]),  # its last prime times the next, below the bound
+        (19_999_999, [19_999_999]),  # the largest prime within the bound, 2 * 10**7 even
+        (2 * 10**7, [2, 5]),  # the bound itself
+    ])
+    def test_the_edges_of_the_prime_table(self, m, primes):
+        assert m <= 2 * residues._MAX_WALK and all(map(is_prime, primes))
+        assert residues._distinct_primes(m) == primes
+
+    def test_refuses_a_modulus_past_the_bound_in_its_words(self):
+        with pytest.raises(DomainError) as caught:
+            residues._distinct_primes(2 * residues._MAX_WALK + 1)
+        assert str(caught.value) == "n=20000001 is too large to factor; the limit is n <= 20000000"
+
+    def test_the_table_finishes_every_modulus_within_the_bound(self):
+        # past the last prime, a composite m left over would have a prime factor at
+        # least the next prime, so m would be at least its square, above the bound
+        table = residues._PRIMES
+        assert table == tuple(p for p in range(2, table[-1] + 1) if is_prime(p))
+        assert next_prime(table[-1] + 1) ** 2 > 2 * residues._MAX_WALK
+        assert (len(table), table[-1]) == (607, 4463)
 
 
 class TestMultiplicativeOrder:
@@ -398,6 +431,8 @@ N_HOLDERS = {
     "verify_identity": lambda n: [verify_identity(build_identity(n, [1, 9, 11]))],
     "verify_full_product": lambda n: [verify_full_product(n)],
     "survey_row": lambda n: [survey_row(n)],
+    "_coset_identity": lambda n: [identities._coset_identity(n, 3)],
+    "_identities": lambda n: list(identities._identities(n)),
 }
 
 
@@ -409,6 +444,37 @@ def test_every_record_holds_n_as_a_python_int(entry, kind):
     built = N_HOLDERS[entry](seven)
     assert built and all(type(x.n) is int for x in built)
     assert {x.n for x in built} == {127 if entry == "mersenne_identity" else 7}
+
+
+# Each entry that reads its modulus through _odd_modulus, and OddModulus itself, as a
+# call on the modulus alone.
+ODD_MODULUS_ENTRIES = {
+    "OddModulus": OddModulus,
+    "survey_row": survey_row,
+    "_coset_identity": lambda n: identities._coset_identity(n, 1),
+    "_identities": identities._identities,
+    "build_identity": lambda n: build_identity(n, [1]),
+    "full_product_identity": full_product_identity,
+    "halving_cycles": halving_cycles,
+    "coset_decomposition": coset_decomposition,
+    "odd_lift": lambda n: odd_lift(1, n),
+    "odd_lift_inverse": lambda n: odd_lift_inverse(1, n),
+    "halve_mod": lambda n: halve_mod(1, n),
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1, "modulus must be odd and > 1, got 1"),
+    (10, "modulus must be odd and > 1, got 10"),
+    (-3, "modulus must be odd and > 1, got -3"),
+    (7.0, "modulus must be an integer, got 7.0"),
+    ("7", "modulus must be an integer, got '7'"),
+])
+@pytest.mark.parametrize("entry", ODD_MODULUS_ENTRIES)
+def test_every_entry_refuses_a_bad_modulus_in_the_same_words(entry, bad, message):
+    with pytest.raises(InvalidModulusError) as caught:
+        ODD_MODULUS_ENTRIES[entry](bad)
+    assert str(caught.value) == message
 
 
 class TestHalvingCycles:

@@ -576,3 +576,13 @@ def test_long_cosets_take_the_table(monkeypatch):
     assert tables == [(n, 2268, 1296)] and (row.nu, row.coset_count) == (2268, 2592)
     _table_from(monkeypatch, 10**9)
     assert survey_row(n) == row
+
+
+def test_a_sweep_calls_survey_row_through_the_module_once_per_n(monkeypatch):
+    # perfbench's survey-sweep times each row by a shim on this module global and counts its
+    # calls, so row work moved into the sweep would leave the metric instead of getting cheaper
+    called, row = [], survey.survey_row
+    monkeypatch.setattr(survey, "survey_row", lambda n: called.append(n) or row(n))
+    rows = survey_range(99)
+    assert called == list(range(3, 100, 2))
+    assert rows == tuple(map(row, called))
