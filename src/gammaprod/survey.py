@@ -155,7 +155,7 @@ def survey_row(n: int) -> SurveyRow:
 # step of N**1.97; extrapolated by N**2, about 12 minutes at this bound.  It
 # prints every coset, about 5.3 bytes of stdout per unit: 108 MB at 10**4,
 # 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps time, not
-# output.  survey walks no cycle: 8.6-10.6 s at this bound on a host of the
+# output.  survey walks no cycle: 7.7-8.6 s at this bound on a host of the
 # same kind (cold, two runs).
 _MAX_SWEEP = 10**5
 

@@ -209,7 +209,7 @@ class TestDistinctPrimes:
     @pytest.mark.parametrize("m, primes", [
         (4463**2, [4463]),  # the square of the table's last prime
         (4463 * 4481, [4463, 4481]),  # its last prime times the next, below the bound
-        (19_999_999, [19_999_999]),  # the largest prime within the bound, 2 * 10**7 even
+        (19_999_999, [19_999_999]),  # the largest prime within the bound (2 * 10**7 is even)
         (2 * 10**7, [2, 5]),  # the bound itself
     ])
     def test_the_edges_of_the_prime_table(self, m, primes):
