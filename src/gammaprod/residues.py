@@ -10,13 +10,14 @@ Units are never listed one gcd at a time: a unit mask sieves out the
 multiples of each distinct prime of the modulus, which alone give phi.
 Those come by trial division by the primes up to sqrt(2 * _MAX_WALK),
 tabled at import, which factor every m within units_mod's bound.
-units_mod reads its units off it, and the halving walk sieves its own mask,
-widens it to the units mod 2n and consumes it, clearing each cycle's labels
-as it goes.  The bulk walk walks no cycle: it doubles the lifted subgroup up
-to nu and yields a copy, then each later cycle as a multiple of it mod 2n.
-_halving_orbit serves single cosets: it walks one cycle a vertex at a time
-and returns the coset's labels.  _order_of_two is the one order routine of
-2: the halving walk, survey_row and build_identity size cosets by it.
+units_mod reads its units off it, and the halving walk sieves its own mask
+of the units mod 2n and consumes it, clearing each cycle's labels as it goes.
+_halving_orbit is the one routine that walks a cycle: it steps a vertex at a
+time and returns the coset's labels.  It serves single cosets, and the bulk
+walk takes the subgroup, the cycle of 1, from it, reads nu as its length and
+yields a copy, then each later cycle as a multiple of it mod 2n.
+_order_of_two is the one order routine of 2: survey_row and build_identity
+size cosets by it.
 """
 
 import itertools
@@ -221,7 +222,9 @@ def multiplicative_order(g: int, m: int) -> int:
 
 def _order_of_two(n: int, k: int) -> int:
     """ord_n(2), odd n, from any multiple k of it; where 2**k is not 1 mod n, no prime
-    of k can be stripped, so k comes back.  A k past _MAX_WALK is refused as a size."""
+    of k can be stripped, so k comes back.  A k past _MAX_WALK is refused as a size.
+    survey_row sizes cosets by it from phi, build_identity from a set's size; the bulk
+    walk reads nu off the cycle of 1 instead."""
     if k > _MAX_WALK:
         raise DomainError(f"a set of {k} elements is too large; the limit is {_MAX_WALK} elements")
     for q in _distinct_primes(k):
@@ -266,8 +269,9 @@ def halve_mod(y: int, n: int) -> int:
 
 def _halving_orbit(n: int, x: int) -> list[int]:
     """The coset of the unit x mod 2n, a plain-int n, as labels in halving order from x:
-    the odd lifts of the halving cycle of x % n.  Halving permutes the units, so no step
-    needs a unit check; a coset over _MAX_WALK elements raises DomainError naming x."""
+    the odd lifts of the halving cycle of x % n; at x = 1, the bulk walk's subgroup.  Halving
+    permutes the units, so no step needs a unit check; a coset over _MAX_WALK elements raises
+    DomainError naming x."""
     labels = []
     y = v = x % n
     for _ in itertools.repeat(None, _MAX_WALK):
@@ -287,40 +291,26 @@ def _walkable_totient(n: int) -> tuple[int, list[int]]:
     return n // math.prod(primes) * math.prod(p - 1 for p in primes), primes
 
 
-def _lifted_subgroup(n: int, nu: int) -> list[int]:
-    """The odd lifts of the halving cycle of 1 mod n, in halving order: the
-    first nu powers of g, the inverse of n+2 mod 2n, built by doubling, since
-    the lift of 2**-(L+i) is the lift of 2**-i times g**L."""
-    m = 2 * n
-    labels, g = [1], pow(n + 2, -1, m)
-    while len(labels) < nu:
-        labels += [x * g % m for x in labels[:nu - len(labels)]]
-        g = g * g % m
-    return labels
-
-
 def _halving_walk(n: int) -> Iterator[list[int]]:
     """Yield the labels of each halving cycle mod a plain-int n, one at a time.
 
     A cycle's labels are the odd lifts of its vertices into the units mod 2n,
-    in halving order.  The walk takes nu, the order of 2, from phi, read off
-    n's primes, and doubles the lifted subgroup, the cycle of 1, up to it.
-    The cycle of any other unit is the subgroup times its least label y, in
-    the same rotation: halving i times multiplies by 2**-i, which the lift
-    carries to multiplication by the i-th label of the subgroup.  The walk
-    sieves its own mask on the first next() and widens it to the odd units
-    mod 2n.  It clears each cycle but the last before yielding it and reads
-    the next from the least unit left, so cycles come in order of their
-    least label, the cycle of 1 first; there are phi // nu of them.  The
-    caller may sort or empty any list: the first copies the walk's subgroup.
+    in halving order.  The walk walks one cycle, that of 1, with _halving_orbit:
+    it is the lifted subgroup, and nu is its length.  The cycle of any other
+    unit is the subgroup times its least label y, in the same rotation: halving
+    i times multiplies by 2**-i, which the lift carries to multiplication by the
+    i-th label of the subgroup.  On the first next() the walk sieves the units
+    mod 2n, by 2 and n's primes, which also give phi.  It clears each cycle but
+    the last before yielding it and reads the next from the least unit left, so
+    cycles come in order of their least label, the cycle of 1 first; there are
+    phi // nu of them.  The caller may sort or empty any list: the first copies
+    the walk's subgroup.
     """
     phi, primes = _walkable_totient(n)
-    todo = _unit_mask(n, primes)
-    subgroup = _lifted_subgroup(n, _order_of_two(n, phi))
-    labels = subgroup.copy()
     # 2n bytes: masks of n or n/4 bytes timed 10-33% slower and saved little beside the subgroup
-    todo *= 2  # x in [0, 2n) is a unit mod 2n when it is odd and x mod n is a unit
-    todo[::2] = bytes(n)
+    todo = _unit_mask(2 * n, [2, *primes])
+    subgroup = _halving_orbit(n, 1)
+    labels = subgroup.copy()
     m, start = 2 * n, 1
     for _ in range(phi // len(subgroup) - 1):
         for x in labels:

@@ -530,7 +530,8 @@ class TestHalvingCycles:
                 assert sum(x > n for x in cycle.labels) == k - sum(cycle.vertices) // n
 
     def test_matches_reference_walk(self):
-        for n in range(3, 600, 2):
+        # and four larger moduli, with subgroups of 64, 13, 32 and 17 (257's is 16, in range)
+        for n in [*range(3, 600, 2), 641, 8191, 65537, 131071]:
             cycles = [(c.vertices, c.labels) for c in halving_cycles(n)]
             assert cycles == reference_halving_cycles(n)
 
@@ -561,32 +562,21 @@ class TestHalvingOrbit:
             _halving_orbit(n, x)
 
 
-class TestLiftedSubgroup:
-    def test_is_the_lifted_cycle_of_one(self):
-        for n in range(3, 3000, 2):
-            nu = multiplicative_order(2, n)
-            assert residues._lifted_subgroup(n, nu) == _halving_orbit(n, 1)
-
-    # each doubles past nu, so the last round keeps only part of its products
-    @pytest.mark.parametrize("n, nu", [(257, 16), (641, 64), (8191, 13), (65537, 32),
-                                       (131071, 17)])
-    def test_at_the_doubling_boundaries(self, n, nu):
-        assert multiplicative_order(2, n) == nu
-        assert residues._lifted_subgroup(n, nu) == _halving_orbit(n, 1)
-
-
 class TestHalvingWalk:
     @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023])
     def test_is_lazy_and_consumes_its_mask(self, n, monkeypatch):
         count, units = coset_decomposition(n).coset_count, brute_units(2 * n)
-        masks, sieve = [], residues._unit_mask
+        sieved, sieve = [], residues._unit_mask
         monkeypatch.setattr(residues, "_unit_mask",
-                            lambda m, primes: masks.append(sieve(m, primes)) or masks[-1])
+                            lambda m, primes: sieved.append((m, primes, sieve(m, primes)))
+                            or sieved[-1][2])
         walk = residues._halving_walk(n)
-        assert masks == []  # nothing sieved before the first next()
+        assert sieved == []  # nothing sieved before the first next()
         seen = []
         for i, labels in enumerate(walk, 1):
-            (mask,) = masks
+            # one sieve, of the units mod 2n, by 2 and the primes of n
+            ((m, primes, mask),) = sieved
+            assert (m, primes) == (2 * n, [2, *residues._distinct_primes(n)])
             held = [x for x in range(2 * n) if mask[x]]
             seen += labels
             if i < count:  # the mask, read mod 2n, loses each cycle before its yield ...
@@ -596,14 +586,15 @@ class TestHalvingWalk:
         assert i == count
         assert sorted(seen) == units
 
-    @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023, 1048575])
+    # the last five have subgroups of 16, 64, 13, 32 and 17 elements
+    @pytest.mark.parametrize("n", [3, 7, 31, 105, 1023, 1048575, 257, 641, 8191, 65537, 131071])
     def test_walks_only_the_cycle_of_one(self, n, monkeypatch):
-        # the cycle of 1 is doubled up from nu, so no orbit is walked at all
-        def no_orbit(m, y):
-            raise AssertionError(f"the walk walked the orbit of {y} mod {m}")
-        monkeypatch.setattr(residues, "_halving_orbit", no_orbit)
+        # the one orbit walked is the cycle of 1, the subgroup, and nu is its length
+        calls, orbit = [], residues._halving_orbit
+        monkeypatch.setattr(residues, "_halving_orbit",
+                            lambda m, y: calls.append((m, y)) or orbit(m, y))
         first, *rest = residues._halving_walk(n)
-        monkeypatch.undo()
+        assert calls == [(n, 1)]
         assert first == _halving_orbit(n, 1)
         # halving i times multiplies by 2**-i: cycle y is the subgroup times y, same rotation
         for cycle in rest:
