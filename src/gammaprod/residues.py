@@ -150,8 +150,8 @@ def _primes_to(k: int) -> tuple[int, ...]:
 
 # Tracemalloc peaks per unit at the two-cycle n = 9999991 (64-bit CPython): the walk, and
 # _identities, which the CLI prints from, hold the mask mod 2n, the subgroup and one later
-# cycle, about 42 bytes, 0.42 GB at the limit; halving_cycles, coset_decomposition and
-# enumerate_identities keep every cycle, about 69, 48 and 46; a single coset's record holds
+# cycle, about 43 bytes, 0.43 GB at the limit; halving_cycles, coset_decomposition and
+# enumerate_identities keep every cycle, about 69, 48 and 47; a single coset's record holds
 # its labels and their tuple, 49 per element.  The checks sum their terms as taken: verify_identity
 # adds 0 bytes a term, verify_full_product 4 a unit.  units_mod takes the moduli 2n of walkable n.
 _MAX_WALK = 10**7
@@ -223,8 +223,7 @@ def multiplicative_order(g: int, m: int) -> int:
 def _order_of_two(n: int, k: int) -> int:
     """ord_n(2), odd n, from any multiple k of it; where 2**k is not 1 mod n, no prime
     of k can be stripped, so k comes back.  A k past _MAX_WALK is refused as a size.
-    survey_row sizes cosets by it from phi, build_identity from a set's size; the bulk
-    walk reads nu off the cycle of 1 instead."""
+    survey_row sizes cosets by it from phi, build_identity from a set's size."""
     if k > _MAX_WALK:
         raise DomainError(f"a set of {k} elements is too large; the limit is {_MAX_WALK} elements")
     for q in _distinct_primes(k):
