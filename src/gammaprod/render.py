@@ -6,7 +6,7 @@ printed with its sign, as the record holds it.  JSON field names are a
 stable external contract; payloads are single lines so streams of
 identities come out newline-delimited.  Text and latex spell each payload
 through _spell, one %-template per list, which the CLI's decompose and
-verify lines share; JSON spells its coset with json.dumps.
+verify lines share; JSON is json.dumps of the record's dict.
 """
 
 import json
@@ -65,17 +65,10 @@ def _latex(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
                   rf"}}{{{identity.modulus}}}\right)", "", rf" = {rhs}\]")
 
 
-# json.dumps's layout of the record's dict, the one spelling of an identity's JSON.
-_JSON = ('{"n": %s, "modulus": %s, "coset": %s, "nu": %s, "b": %s, '
-         '"rhs": {"pow2": %s, "pi_half_units": %s}}')
-
-
 def _json(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
-    n, nu, b = identity.n, identity.nu, identity.b
-    m = 2 * n
-    if not type(n) is type(nu) is type(b) is int:  # a bool, float or int subclass:
-        n, m, nu, b = map(json.dumps, (n, m, nu, b))  # spelled as json.dumps spells it
-    return _JSON % (n, m, json.dumps(identity.coset), nu, b, b, nu)
+    nu, b = identity.nu, identity.b
+    return json.dumps({"n": identity.n, "modulus": identity.modulus, "coset": identity.coset,
+                       "nu": nu, "b": b, "rhs": {"pow2": b, "pi_half_units": nu}})
 
 
 _RENDERERS = {"text": _text, "latex": _latex, "json": _json}

@@ -543,11 +543,10 @@ def test_verify_prints_past_ten_thousand_as_pinned(n, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_a_verify_coset_line_is_one_fill(traced_peak):
+def test_a_verify_coset_line_is_one_fill(traced_peak, coset_of_1000003):
     # the 7.1 MiB line of verify 1000003; spelling the coset, then copying it into
     # "coset=(...)" and again into the line peaked at twice the line
-    identity = next(identities._identities(1000003))
-    report = verification.verify_identity(identity)
-    line, peak = traced_peak(cli._report_line, report, identity.coset)
+    report = verification.verify_identity(coset_of_1000003)
+    line, peak = traced_peak(cli._report_line, report, coset_of_1000003.coset)
     assert line.startswith("PASS n=1000003 coset=(1,3,5,7,") and ",2000005) residual=" in line
     assert peak < 1.8 * len(line)

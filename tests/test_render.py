@@ -213,6 +213,14 @@ def test_payloads_match_the_per_factor_reference():
         '{"n": 7.0, "modulus": 14.0, ')
 
 
+def test_a_json_payload_is_one_dump(traced_peak, coset_of_1000003):
+    # the 8.05 MiB payload of the coset of 1000003; json.dumps of the coset, then
+    # filling it into the field layout, peaked at 2.25 times the payload
+    rendered, peak = traced_peak(render_identity, coset_of_1000003, "json")
+    assert rendered.payload.startswith('{"n": 1000003, "modulus": 2000006, "coset": [1, 3, ')
+    assert peak < 2.1 * len(rendered.payload)
+
+
 def test_a_scalar_json_cannot_write_raises_as_json_dumps_does():
     np = pytest.importorskip("numpy")
     identity = dataclasses.replace(N7, b=np.int64(2))

@@ -341,10 +341,9 @@ class TestVerifyFullProduct:
             verify_full_product(2**61 - 1)
 
 
-def test_a_coset_check_sums_its_terms_as_it_takes_them(traced_peak):
-    # the record is built before tracing; a list of its lgamma terms took about 32 bytes a term
-    (identity,) = enumerate_identities(1000003)
-    report, peak = traced_peak(verify_identity, identity)
+def test_a_coset_check_sums_its_terms_as_it_takes_them(traced_peak, coset_of_1000003):
+    # a list of the coset's lgamma terms took about 32 bytes a term
+    report, peak = traced_peak(verify_identity, coset_of_1000003)
     assert report.passed and report.term_count == 1000002
     assert peak < 4 * report.term_count
 
