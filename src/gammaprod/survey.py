@@ -42,19 +42,19 @@ def is_prime_power(n: int) -> bool:
 
 
 def _table_beats_scan(nu: int, k: int) -> bool:
-    """Whether survey_row reads k mirror pairs of cosets of size nu faster off the
-    table than by the scan.
+    """Whether survey_row reads k >= 2 mirror pairs of cosets of size nu faster off
+    the table than by the scan; a row of one pair reads the coset of 1 and asks
+    nothing.
 
     The table tests a unit by one gcd and O(sqrt(nu)) steps, none for the
     first, but must reach each pair's least unit, about k*ln(k) units in; the
     scan sieves n and takes all the odd units up to n/3, about phi/6, at O(nu)
     bigint work each.  Timed per row (2 vCPU Intel Xeon, Python 3.11.7) over
     the 647 odd n < 2000 and 1,115 of a seeded 1,500 odd n below 10**5 that
-    have pairs, the table won 478 of the 479 rows of k = 1, and the two meet
-    at isqrt(nu) = 6-7 for k = 2-7, 7-10 for k = 8-15, 8-10 for k = 16-63 and
-    10-11 for k = 64-127, about k.bit_length() + 4; this rule came within 0.7%
-    of the faster path's total on both sets, and the table for every k = 1
-    gained 0.1%.  Many short cosets stay with the scan: 0.17-0.23 s at 2**23 - 1
+    have pairs, the two meet at isqrt(nu) = 6-7 for k = 2-7, 7-10 for
+    k = 8-15, 8-10 for k = 16-63 and 10-11 for k = 64-127, about
+    k.bit_length() + 4; this rule came within 0.7% of the faster path's total
+    on both sets.  Many short cosets stay with the scan: 0.17-0.23 s at 2**23 - 1
     (nu = 23, k = 178,480), where the table took 1.2-1.9 s.  Long ones go to
     the table: 0.07-0.10 s at 6651541 (nu = 2268, k = 1296), the scan 0.41-0.77 s.
     """
@@ -122,10 +122,12 @@ def survey_row(n: int) -> SurveyRow:
     each coset C with another, -C, and max_b is nu less the fewest ones of
     either block of a pair.  The least vertex w of C u -C is odd (an even w
     has w/2 there), and the even n - w is there too, so (n - w)/2 >= w: the
-    odd units up to n/3 reach every pair.  The scan sieves n and takes the
-    popcount of all of them; _coset_representatives tests them by gcd and
-    keeps one per pair, and _table_beats_scan picks between the two on nu and
-    the k/2 pairs.
+    odd units up to n/3 reach every pair.  One pair needs no search: 1 lies
+    in <2>, so the block of 1 is the coset of 1 and its complement the
+    mirror.  For more, the scan sieves n and takes the popcount of all the
+    odd units up to n/3; _coset_representatives tests them by gcd and keeps
+    one per pair, and _table_beats_scan picks between the two on nu and the
+    k/2 pairs.
     """
     n = _odd_modulus(n)
     phi, primes = _walkable_totient(n)
@@ -133,13 +135,15 @@ def survey_row(n: int) -> SurveyRow:
     coset_count = phi // nu
     # x -> -x fixes a coset exactly when -1 is in <2> mod n: all cosets or
     # none.  -1 can only be 2**(nu/2), the element of order 2 of the cyclic
-    # <2>; for odd nu the test fails by itself, as 2**(nu-1) is not 1.
-    self_complementary = pow(2, nu // 2, n) == n - 1
+    # <2>; an odd nu has no such element, so no pow is taken.
+    self_complementary = nu % 2 == 0 and pow(2, nu // 2, n) == n - 1
     if self_complementary:
         max_b = nu // 2
     else:
         odd, pairs = range(1, n // 3 + 1, 2), coset_count // 2
-        if _table_beats_scan(nu, pairs):
+        if pairs == 1:  # the coset of 1 and its mirror are every coset
+            reps = (1,)
+        elif _table_beats_scan(nu, pairs):
             reps = _coset_representatives(n, nu, pairs, (u for u in odd if gcd(u, n) == 1))
         else:
             reps = compress(odd, _unit_mask(n, primes)[1:odd.stop:2])

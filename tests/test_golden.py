@@ -108,19 +108,20 @@ def test_output_is_unchanged(group):
 
 
 def test_survey_4999_rows_take_every_path(monkeypatch):
-    # a row calls neither wrapped routine on the shortcut, both on the table,
-    # and _fewest_ones alone on the scan
-    called, table, fewest = [], survey._coset_representatives, survey._fewest_ones
-    monkeypatch.setattr(survey, "_coset_representatives",
-                        lambda *args: called.append("table") or table(*args))
-    monkeypatch.setattr(survey, "_fewest_ones",
-                        lambda *args: called.append("scan") or fewest(*args))
+    # a row calls no wrapped routine on the shortcut; the table and the scan's sieve
+    # each come before _fewest_ones, which a row of one mirror pair calls alone
+    called = []
+    for name, path in [("_coset_representatives", "table"), ("_unit_mask", "scan"),
+                       ("_fewest_ones", "one pair")]:
+        wrapped = getattr(survey, name)
+        monkeypatch.setattr(survey, name, lambda *args, path=path, wrapped=wrapped:
+                            called.append(path) or wrapped(*args))
     paths = collections.Counter()
     for n in range(3, 5000, 2):
         called.clear()
         survey.survey_row(n)
         paths[called[0] if called else "shortcut"] += 1
-    assert set(paths) == {"shortcut", "table", "scan"}, paths
+    assert set(paths) == {"shortcut", "one pair", "table", "scan"}, paths
 
 
 # A stdlib-only child: it reads GROUPS on stdin and prints their digests.

@@ -366,15 +366,16 @@ CUTS = pytest.mark.parametrize("cut", [0, 2000, 10**9])
 @pytest.mark.parametrize("n", [3, 7, 31, 1023, 4095, 1000003])
 @CUTS
 def test_a_row_sieves_once(n, cut, monkeypatch):
-    # at most: phi comes off n's primes, so a shortcut row reads no unit and a table
-    # row tests its few by gcd; only the scan, which reads every unit to n/3, sieves n
+    # at most: phi comes off n's primes, so a shortcut row reads no unit, a row of one
+    # mirror pair reads the unit 1 and a table row tests its few by gcd; only the scan
+    # over two or more pairs, which reads every unit to n/3, sieves n
     sieved, sieve = [], residues._unit_mask
     monkeypatch.setattr(survey, "_unit_mask",
                         lambda m, primes: sieved.append(m) or sieve(m, primes))
     monkeypatch.setattr(residues, "_unit_mask", _refuse("a sieve outside survey_row"))
     _table_from(monkeypatch, cut)
     row = survey_row(n)
-    scanned = not row.self_complementary_count and row.nu < cut
+    scanned = not row.self_complementary_count and row.coset_count > 2 and row.nu < cut
     assert sieved == ([n] if scanned else [])
 
 
@@ -514,18 +515,42 @@ def test_the_table_yields_its_first_unit_untested(n, second):
 
 
 def test_the_scan_reads_the_odd_units_to_a_third(monkeypatch):
+    # a row of one mirror pair hands on the unit 1 alone, whatever the rule says
     handed, fewest = {}, survey._fewest_ones
     monkeypatch.setattr(survey, "_fewest_ones",
-                        lambda n, nu, reps: fewest(n, nu, handed.setdefault(n, list(reps))))
+                        lambda n, nu, reps: fewest(n, nu, handed.setdefault(n, tuple(reps))))
     _table_from(monkeypatch, 10**9)
+    one_pair = 0
     for n in range(3, 1000, 2):
         row = survey_row(n)
-        if not row.self_complementary_count:
-            assert handed.pop(n) == _odd_units_to_a_third(n)
+        if row.self_complementary_count:
+            continue
+        if row.coset_count == 2:
+            one_pair += 1
+            assert handed.pop(n) == (1,)
+        else:
+            assert handed.pop(n) == tuple(_odd_units_to_a_third(n))
     assert not handed  # a self-complementary row takes no popcount
+    assert one_pair == 131
     for n in (2**20 - 1, 1000005):
         survey_row(n)
-        assert handed.pop(n) == _odd_units_to_a_third(n)
+        assert handed.pop(n) == tuple(_odd_units_to_a_third(n))
+
+
+def test_a_one_pair_row_reads_the_coset_of_1(monkeypatch):
+    # 1 lies in <2>, so the block of 1 is the coset of 1 and its complement the mirror:
+    # with two cosets, each the other's mirror, a row needs no rule, table or sieve
+    rows = [row for row in survey_range(4999)
+            if row.coset_count == 2 and not row.self_complementary_count]
+    monkeypatch.setattr(survey, "_table_beats_scan", _refuse("the rule"))
+    monkeypatch.setattr(survey, "_coset_representatives", _refuse("the table"))
+    monkeypatch.setattr(survey, "_unit_mask", _refuse("the scan's sieve"))
+    for row in rows:
+        walked = list(identities._identities(row.n))
+        assert len(walked) == 2 and walked[0].b + walked[1].b == row.nu
+        assert survey_row(row.n) == row
+        assert row.max_b == max(i.b for i in walked)
+    assert len(rows) == 528
 
 
 @settings(max_examples=20, deadline=None)
