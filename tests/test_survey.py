@@ -298,7 +298,7 @@ def test_max_b_matches_identities():
 
 
 def test_rows_below_20000_keep_their_digest():
-    # every odd n < 20000, rows of all three paths, frozen when phi still counted
+    # every odd n < 20000, rows of every path, frozen when phi still counted
     # a unit mask and the prime-power column read the mask's least non-unit
     rows = repr(survey_range(19999)).encode()
     assert hashlib.sha256(rows).hexdigest() == (
