@@ -26,17 +26,13 @@ class RenderedIdentity:
 def _rhs(b: int, nu: int, times: str, pi_sym: str, latex: bool) -> str:
     """2^b pi^(nu/2); latex braces every exponent, text parenthesises nu/2."""
     sup = "^{{{}}}" if latex else "^{}"
+    half = nu // 2 if nu % 2 == 0 else f"{nu}/2" if latex else f"({nu}/2)"
     factors = []
-    if b == 1:
-        factors.append("2")
-    elif b != 0:
-        factors.append("2" + sup.format(b))
-    if nu == 2:
-        factors.append(pi_sym)
-    elif nu != 0 and nu % 2 == 0:
-        factors.append(pi_sym + sup.format(nu // 2))
-    elif nu != 0:
-        factors.append(pi_sym + sup.format(f"{nu}/2" if latex else f"({nu}/2)"))
+    for base, e in (("2", b), (pi_sym, half)):
+        if e == 1:
+            factors.append(base)
+        elif e != 0:
+            factors.append(base + sup.format(e))
     return times.join(factors) if factors else "1"
 
 
@@ -52,9 +48,7 @@ def _spell(coset: tuple[int, ...], start: str, head: str, tail: str, times: str,
 
 
 def _text(identity: GammaProductIdentity, ascii_symbols: bool) -> str:
-    gamma = "Gamma" if ascii_symbols else "Γ"
-    times = "*" if ascii_symbols else "·"
-    pi_sym = "pi" if ascii_symbols else "π"
+    gamma, times, pi_sym = ("Gamma", "*", "pi") if ascii_symbols else ("Γ", "·", "π")
     rhs = _rhs(identity.b, identity.nu, times, pi_sym, latex=False)
     return _spell(identity.coset, "", f"{gamma}(", f"/{identity.modulus})", times, f" = {rhs}")
 

@@ -53,6 +53,17 @@ class TestText:
         assert json.loads(render_identity(signed, "json").payload)["rhs"] == {
             "pow2": b, "pi_half_units": nu}
 
+    @pytest.mark.parametrize(("b", "nu", "rhs", "ascii_rhs"), [
+        (0, 0, " = 1", " = 1"),
+        (1, 0, " = 2", " = 2"),
+        (0, 2, " = π", " = pi"),
+    ])
+    def test_a_unit_or_lone_factor_right_side(self, b, nu, rhs, ascii_rhs):
+        record = dataclasses.replace(N7, b=b, nu=nu)
+        assert render_identity(record).payload == "Γ(1/14)·Γ(9/14)·Γ(11/14)" + rhs
+        assert render_identity(record, "text", ascii_symbols=True).payload == (
+            "Gamma(1/14)*Gamma(9/14)*Gamma(11/14)" + ascii_rhs)
+
 
 class TestLatex:
     def test_n31(self):
@@ -80,6 +91,16 @@ class TestLatex:
     ])
     def test_negative_exponents_keep_their_sign(self, b, nu, rhs):
         assert render_identity(dataclasses.replace(N7, b=b, nu=nu), "latex").payload.endswith(rhs)
+
+    @pytest.mark.parametrize(("b", "nu", "rhs"), [
+        (0, 0, r" = 1\]"),
+        (1, 0, r" = 2\]"),
+        (0, 2, r" = \pi\]"),
+    ])
+    def test_a_unit_or_lone_factor_right_side(self, b, nu, rhs):
+        lhs = (r"\[\Gamma\left(\frac{1}{14}\right)\Gamma\left(\frac{9}{14}\right)"
+               r"\Gamma\left(\frac{11}{14}\right)")
+        assert render_identity(dataclasses.replace(N7, b=b, nu=nu), "latex").payload == lhs + rhs
 
     def test_one_display_equation_per_identity(self):
         payload = render_identity(N7, "latex").payload
