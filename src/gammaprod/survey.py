@@ -48,17 +48,18 @@ def _table_beats_scan(nu: int, k: int) -> bool:
 
     The table tests a unit by one gcd and O(sqrt(nu)) steps, none for the
     first, but must reach each pair's least unit, about k*ln(k) units in; the
-    scan sieves n and takes all the odd units up to n/3, about phi/6, at O(nu)
+    scan sieves n and takes all the odd units up to n/5, about phi/10, at O(nu)
     bigint work each.  Timed per row (2 vCPU Intel Xeon, Python 3.11.7) over
-    the 647 odd n < 2000 and 1,115 of a seeded 1,500 odd n below 10**5 that
-    have pairs, the two meet at isqrt(nu) = 6-7 for k = 2-7, 7-10 for
-    k = 8-15, 8-10 for k = 16-63 and 10-11 for k = 64-127, about
-    k.bit_length() + 4; this rule came within 0.7% of the faster path's total
-    on both sets.  Many short cosets stay with the scan: 0.17-0.23 s at 2**23 - 1
-    (nu = 23, k = 178,480), where the table took 1.2-1.9 s.  Long ones go to
-    the table: 0.07-0.10 s at 6651541 (nu = 2268, k = 1296), the scan 0.41-0.77 s.
+    the 409 odd n < 2000 and 891 of a seeded 1,500 odd n below 10**5 that
+    have two or more pairs, the two meet at isqrt(nu) = 10-13 for k = 4-7,
+    10-15 for k = 8-31, 14-16 for k = 32-127 and 16 for k = 128-511 (k = 2-3
+    is flat from 4 to 11), about k.bit_length() + 7; this rule came within
+    1.3% of the faster path's total on both sets, where + 4 gave 2.1-3.7%.
+    Many short cosets stay with the scan: 0.10-0.11 s at 2**23 - 1 (nu = 23,
+    k = 178,480), where the table took 1.1-1.3 s.  Long ones go to the table:
+    0.05-0.06 s at 6651541 (nu = 2268, k = 1296), the scan 0.23-0.26 s.
     """
-    return k.bit_length() + 4 < isqrt(nu)
+    return k.bit_length() + 7 < isqrt(nu)
 
 
 def _coset_representatives(n: int, nu: int, k: int, units: Iterable[int]) -> Iterator[int]:
@@ -120,14 +121,16 @@ def survey_row(n: int) -> SurveyRow:
     vertex, so b(-C) = nu - b(C).  When -1 is in <2> it maps each cycle to
     itself, so every b is nu/2 and no popcount is taken.  Otherwise it pairs
     each coset C with another, -C, and max_b is nu less the fewest ones of
-    either block of a pair.  The least vertex w of C u -C is odd (an even w
-    has w/2 there), and the even n - w is there too, so (n - w)/2 >= w: the
-    odd units up to n/3 reach every pair.  One pair needs no search: 1 lies
-    in <2>, so the block of 1 is the coset of 1 and its complement the
-    mirror.  For more, the scan sieves n and takes the popcount of all the
-    odd units up to n/3; _coset_representatives tests them by gcd and keeps
-    one per pair, and _table_beats_scan picks between the two on nu and the
-    k/2 pairs.
+    either block of a pair.  C u -C is closed under doubling and negation,
+    and its least vertex w is odd (an even w has w/2 there) and below n/2,
+    so n - 2w is there and w <= n/3.  4w mod n is there too: 4w > n would
+    need 4w - n >= w, that is 3w >= n, which no unit w <= n/3 of an n > 3
+    meets, so 4w < n and n - 4w >= w.  The odd units up to n/5 reach every
+    pair.  One pair needs no search: 1 lies in <2>, so the block of 1 is the
+    coset of 1 and its complement the mirror.  For more, the scan sieves n
+    and takes the popcount of all the odd units up to n/5, about phi/10;
+    _coset_representatives tests them by gcd and keeps one per pair, and
+    _table_beats_scan picks between the two on nu and the k/2 pairs.
     """
     n = _odd_modulus(n)
     phi, primes = _walkable_totient(n)
@@ -140,7 +143,7 @@ def survey_row(n: int) -> SurveyRow:
     if self_complementary:
         max_b = nu // 2
     else:
-        odd, pairs = range(1, n // 3 + 1, 2), coset_count // 2
+        odd, pairs = range(1, n // 5 + 1, 2), coset_count // 2
         if pairs == 1:  # the coset of 1 and its mirror are every coset
             reps = (1,)
         elif _table_beats_scan(nu, pairs):
@@ -159,7 +162,7 @@ def survey_row(n: int) -> SurveyRow:
 # step of N**1.97; extrapolated by N**2, about 12 minutes at this bound.  It
 # prints every coset, about 5.3 bytes of stdout per unit: 108 MB at 10**4,
 # 456 MB at 2 * 10**4, and about 11-13 GB at this bound, which caps time, not
-# output.  survey walks no cycle: 7.7-8.6 s at this bound on a host of the
+# output.  survey walks no cycle: 6.8-7.8 s at this bound on a host of the
 # same kind (cold, two runs).
 _MAX_SWEEP = 10**5
 

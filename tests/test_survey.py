@@ -368,7 +368,7 @@ CUTS = pytest.mark.parametrize("cut", [0, 2000, 10**9])
 def test_a_row_sieves_once(n, cut, monkeypatch):
     # at most: phi comes off n's primes, so a shortcut row reads no unit, a row of one
     # mirror pair reads the unit 1 and a table row tests its few by gcd; only the scan
-    # over two or more pairs, which reads every unit to n/3, sieves n
+    # over two or more pairs, which reads every unit to n/5, sieves n
     sieved, sieve = [], residues._unit_mask
     monkeypatch.setattr(survey, "_unit_mask",
                         lambda m, primes: sieved.append(m) or sieve(m, primes))
@@ -448,15 +448,15 @@ def _mirror_pairs(n):
             if coset_of[n - c[0]] >= i]
 
 
-def _odd_units_to_a_third(n):
-    return [u for u in range(1, n // 3 + 1, 2) if math.gcd(u, n) == 1]
+def _odd_units_to_a_fifth(n):
+    return [u for u in range(1, n // 5 + 1, 2) if math.gcd(u, n) == 1]
 
 
 def test_mirror_cosets_pair_off_with_complementary_b():
     # where -1 is not in <2>, x -> n - x maps each coset C onto another, -C, and
     # flips the parity of every vertex, so b(-C) = nu - b(C).  The least vertex w
-    # of C u -C is odd (an even w has w/2 there) and at most n/3 (the even n - w
-    # is there, so (n - w)/2 is)
+    # of C u -C is odd (an even w has w/2 there) and at most n/5 (n - 2w and
+    # n - 4w are there)
     mirrored = 0
     for n in range(3, 3000, 2):
         pairs = _mirror_pairs(n)
@@ -470,7 +470,7 @@ def test_mirror_cosets_pair_off_with_complementary_b():
             b = sum(u % 2 == 0 for u in coset)
             assert sum(u % 2 == 0 for u in mirror) == nu - b
             least = min(coset + mirror)
-            assert least % 2 == 1 and 3 * least <= n
+            assert least % 2 == 1 and 5 * least <= n
     assert mirrored == 996
 
 
@@ -486,8 +486,8 @@ def test_the_table_finds_each_mirror_pair_once():
         if pairs[0][0] is pairs[0][1]:
             continue
         # stopped at the k/2 pairs, it yields the same units off the odd units up to
-        # n/3 and reads no unit past the last representative
-        odd = _odd_units_to_a_third(n)
+        # n/5 and reads no unit past the last representative
+        odd = _odd_units_to_a_fifth(n)
         units = iter(odd)
         assert list(survey._coset_representatives(n, nu, len(pairs), units)) == found
         assert next(units, None) == next((u for u in odd if u > found[-1]), None)
@@ -514,7 +514,7 @@ def test_the_table_yields_its_first_unit_untested(n, second):
     assert next(units) == second and halved == []
 
 
-def test_the_scan_reads_the_odd_units_to_a_third(monkeypatch):
+def test_the_scan_reads_the_odd_units_to_a_fifth(monkeypatch):
     # a row of one mirror pair hands on the unit 1 alone, whatever the rule says
     handed, fewest = {}, survey._fewest_ones
     monkeypatch.setattr(survey, "_fewest_ones",
@@ -529,12 +529,12 @@ def test_the_scan_reads_the_odd_units_to_a_third(monkeypatch):
             one_pair += 1
             assert handed.pop(n) == (1,)
         else:
-            assert handed.pop(n) == tuple(_odd_units_to_a_third(n))
+            assert handed.pop(n) == tuple(_odd_units_to_a_fifth(n))
     assert not handed  # a self-complementary row takes no popcount
     assert one_pair == 131
     for n in (2**20 - 1, 1000005):
         survey_row(n)
-        assert handed.pop(n) == tuple(_odd_units_to_a_third(n))
+        assert handed.pop(n) == tuple(_odd_units_to_a_fifth(n))
 
 
 def test_a_one_pair_row_reads_the_coset_of_1(monkeypatch):
@@ -561,7 +561,7 @@ def test_max_b_matches_the_walk_on_large_rows(n):
 
 
 def test_a_row_holds_no_list_of_popcounts(traced_peak):
-    # the mask takes n bytes and the odd units to n/3 another n/6; the scan over the
+    # the mask takes n bytes and the odd units to n/5 another n/10; the scan over the
     # odd units below n/2 peaked at 1.25 bytes per n, and a list of every popcount at 2.6
     n = 2**23 - 1  # 178,480 mirror pairs of cosets of 23, all by the scan
     survey_row(3)
